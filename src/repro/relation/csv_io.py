@@ -14,14 +14,22 @@ from __future__ import annotations
 
 import csv
 import io
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
+from itertools import chain
 from pathlib import Path
 from typing import TextIO
 
 from ..faults import CSV_READ, FAULTS
 from . import encoded as _encoded
-from .encoded import ColumnEncoder
-from .relation import Relation, SchemaError, _column_hasher, _combine_column_digests, _value_token
+from .encoded import _BLOCK_ROWS, ColumnEncoder
+from .relation import (
+    Relation,
+    SchemaError,
+    _column_hasher,
+    _combine_column_digests,
+    _hash_blocks,
+    _value_token,
+)
 
 __all__ = ["read_csv", "write_csv", "read_csv_text"]
 
@@ -38,8 +46,8 @@ def read_csv(
     """Read a CSV file (or open handle) into a :class:`Relation`.
 
     The read is a **single streaming pass** shared by three consumers
-    (paper §3's "one shared I/O" argument, taken literally): each decoded
-    value is (a) dictionary-encoded into the active storage mode's code
+    (paper §3's "one shared I/O" argument, taken literally): the decoded
+    values are (a) dictionary-encoded into the active storage mode's code
     arrays (``encoded``/``mmap``; under ``objects`` the boxed tuples of
     the seed representation are kept), and (b) streamed through a
     per-column fingerprint hasher, so :meth:`Relation.fingerprint` — the
@@ -47,6 +55,16 @@ def read_csv(
     ``mmap`` mode the decoded objects are *not* materialized: codes spill
     to memory-mapped files and only the per-column dictionaries stay
     resident, so peak memory scales with distinct values, not rows.
+
+    The pass is block-columnar.  Each row is width-checked (and trips
+    the ``csv.read`` fault point) as it arrives, so a ragged line aborts
+    the read at once with its line number.  Rows are buffered in small
+    blocks; each column of a block is then encoded in bulk (its new
+    values get codes in first-seen order, every NULL marker the one
+    ``None`` code) and hashed with one update of its values' tokens,
+    each token built once per dictionary entry.  SHA-256 over a
+    concatenation equals the same bytes fed value by value, so codes,
+    dictionaries and fingerprints are byte-identical to a per-value pass.
 
     Parameters
     ----------
@@ -91,59 +109,66 @@ def read_csv(
     if first is None:
         raise SchemaError("empty CSV input: no header and no data")
 
-    pending: list[str] | None = None
+    rows: Iterator[tuple[int, list[str]]] = enumerate(reader, start=2)
     if has_header:
         header = first
+        if len(set(header)) != len(header):
+            # Fail before any data is read, encoded or spilled.
+            raise SchemaError(f"duplicate column names in {tuple(header)!r}")
     else:
         header = [f"column_{i}" for i in range(len(first))]
-        pending = first  # the first data row was line 1
-    start = 2
+        rows = chain([(1, first)], rows)  # the first data row was line 1
     width = len(header)
 
     storage = _encoded.ACTIVE
     hashers = [_column_hasher(str(column_name)) for column_name in header]
-    encoders: list[ColumnEncoder] | None = None
-    columns: list[list[object]] | None = None
-    if storage == "objects":
-        columns = [[] for _ in range(width)]
-    else:
-        encoders = [ColumnEncoder(storage) for _ in range(width)]
+    # objects storage encodes in memory too — the dictionary pass is what
+    # maps NULL markers and feeds the hashers — and decodes at the end.
+    encoders = [
+        ColumnEncoder("encoded" if storage == "objects" else storage, nulls=nulls)
+        for _ in range(width)
+    ]
+    # One token per dictionary entry, built when the value is first seen.
+    tokens: list[list[bytes]] = [[] for _ in range(width)]
+
+    def encode(block: list[list[str]]) -> None:
+        """Encode and hash each column of ``block``, then empty it."""
+        columns = list(zip(*block))
+        block.clear()  # free the row lists before the per-column passes
+        for encoder, known, hasher, column in zip(encoders, tokens, hashers, columns):
+            codes = encoder.add_block(column)
+            dictionary = encoder.dictionary
+            if len(known) < len(dictionary):
+                known.extend(map(_value_token, dictionary[len(known):]))
+            _hash_blocks(hasher, map(known.__getitem__, codes))
 
     n_rows = 0
-
-    def consume(fields: list[str], line_no: int) -> None:
-        nonlocal n_rows
-        if len(fields) != width:
-            raise SchemaError(
-                f"line {line_no}: expected {width} fields, found {len(fields)}"
-            )
-        for index, field in enumerate(fields):
-            value = None if field in nulls else field
-            hashers[index].update(_value_token(value))
-            if encoders is not None:
-                encoders[index].add(value)
-            else:
-                columns[index].append(value)
-        n_rows += 1
-
+    block: list[list[str]] = []
     try:
-        if pending is not None:
-            consume(pending, 1)
-        for line_no, row in enumerate(reader, start=start):
+        for line_no, row in rows:
             if FAULTS.armed:
                 FAULTS.trip(CSV_READ)  # deterministic I/O-failure injection
-            consume(row, line_no)
-        built = (
-            [encoder.finish() for encoder in encoders]
-            if encoders is not None
-            else columns
-        )
+            if len(row) != width:
+                raise SchemaError(
+                    f"line {line_no}: expected {width} fields, found {len(row)}"
+                )
+            block.append(row)
+            if len(block) == _BLOCK_ROWS:
+                n_rows += _BLOCK_ROWS
+                encode(block)
+        n_rows += len(block)
+        encode(block)
+        built = [encoder.finish() for encoder in encoders]
     except BaseException:
-        if encoders is not None:
-            for encoder in encoders:
-                encoder.abort()
+        for encoder in encoders:
+            encoder.abort()
         raise
 
+    if storage == "objects":
+        built = [
+            tuple(map(column.dictionary.__getitem__, column.codes))
+            for column in built
+        ]
     relation = Relation(header, built, name=name or "relation")
     relation._fingerprint = _combine_column_digests(
         width, n_rows, (hasher.digest() for hasher in hashers)

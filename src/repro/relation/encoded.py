@@ -55,7 +55,8 @@ import tempfile
 import weakref
 from array import array
 from contextlib import contextmanager
-from typing import Any, Iterator, Sequence
+from itertools import filterfalse, islice
+from typing import Any, Iterable, Iterator, Sequence
 
 from .. import trace as _trace
 from ..faults import FAULTS, STORAGE_SPILL
@@ -97,6 +98,12 @@ CODE_BYTES = 4
 #: flush; bounds the resident build cost of one column to
 #: ``SPILL_CHUNK_CODES * CODE_BYTES`` bytes regardless of row count.
 SPILL_CHUNK_CODES = 65_536
+
+# Values per bulk pass: ``read_csv`` buffers this many rows before it
+# encodes and fingerprints each column, and the fingerprint streams this
+# many tokens per hash update.  Small on purpose: the block is resident
+# next to the spill chunk, and larger blocks buy no further speed.
+_BLOCK_ROWS = 1024
 
 
 class StorageUnavailable(RuntimeError):
@@ -297,15 +304,7 @@ class EncodedColumn:
                 value: code for code, value in enumerate(self.dictionary)
             }
             self._positions = positions
-        dictionary = self.dictionary
-        codes: list[int] = []
-        for value in values:
-            code = positions.get(value)
-            if code is None:
-                code = len(positions)
-                positions[value] = code
-                dictionary.append(value)
-            codes.append(code)
+        codes = _encode_block(values, positions, self.dictionary)
         if not codes:
             return codes
         batch = array("i", codes)
@@ -435,14 +434,50 @@ def _release_spill(mapped: "mmap.mmap | None", path: str) -> None:
         pass
 
 
+def _encode_block(
+    values: Sequence[Any],
+    positions: dict[Any, int],
+    dictionary: list[Any],
+    nulls: frozenset = frozenset(),
+) -> list[int]:
+    """Codes of one block of values, growing the dictionary in place.
+
+    ``positions`` maps every value seen so far to its code.  The block's
+    unseen values join ``dictionary`` in first-seen order, so codes stay
+    the dense first-seen ids; every value in ``nulls`` is a NULL marker
+    and maps to the one ``None`` code.  The per-value work happens in C
+    (``dict.fromkeys``, ``map``); Python code runs once per *new* value
+    only when the block holds a NULL marker.
+    """
+    new = list(filterfalse(positions.__contains__, dict.fromkeys(values)))
+    if new:
+        if nulls.isdisjoint(new):
+            start = len(dictionary)
+            positions.update(zip(new, range(start, start + len(new))))
+            dictionary.extend(new)
+        else:
+            for value in new:
+                if value in nulls:
+                    code = positions.get(None)
+                    if code is None:
+                        code = positions[None] = len(dictionary)
+                        dictionary.append(None)
+                    positions[value] = code
+                else:
+                    positions[value] = len(dictionary)
+                    dictionary.append(value)
+    return list(map(positions.__getitem__, values))
+
+
 class ColumnEncoder:
     """Streaming builder of one :class:`EncodedColumn`.
 
-    Values arrive one at a time (:meth:`add`), each is mapped to its
-    dictionary code, and the code lands in a bounded chunk buffer.  In
-    ``mmap`` mode a full buffer is spilled to the column's temp file (a
-    retry-absorbed, fault-injectable write), so the resident build cost
-    never scales with the row count.
+    Values arrive in blocks (:meth:`add_block`), each block is mapped to
+    dictionary codes in bulk, and the codes land in a bounded chunk
+    buffer.  In ``mmap`` mode a full buffer is spilled to the column's
+    temp file (a retry-absorbed, fault-injectable write), so the resident
+    build cost never scales with the row count.  Values in ``nulls`` are
+    NULL markers: they all encode as ``None``.
     """
 
     __slots__ = (
@@ -451,13 +486,19 @@ class ColumnEncoder:
         "_chunk",
         "_dictionary",
         "_positions",
+        "_nulls",
         "_spill_dir",
         "_path",
         "_handle",
         "_spilled",
     )
 
-    def __init__(self, storage: str | None = None, spill_dir: str | None = None):
+    def __init__(
+        self,
+        storage: str | None = None,
+        spill_dir: str | None = None,
+        nulls: frozenset = frozenset(),
+    ):
         self.storage = resolve_storage(storage) if storage is not None else ACTIVE
         if self.storage == "objects":
             raise StorageUnavailable(
@@ -465,6 +506,7 @@ class ColumnEncoder:
             )
         self._dictionary: list[Any] = []
         self._positions: dict[Any, int] = {}
+        self._nulls = nulls
         self._spill_dir = spill_dir
         self._path: str | None = None
         self._handle: io.BufferedWriter | None = None
@@ -476,26 +518,27 @@ class ColumnEncoder:
             self._codes = array("i")
             self._chunk = None
 
-    def add(self, value: Any) -> int:
-        """Encode one value; returns its dictionary code."""
-        positions = self._positions
-        code = positions.get(value)
-        if code is None:
-            code = len(positions)
-            positions[value] = code
-            self._dictionary.append(value)
+    @property
+    def dictionary(self) -> list[Any]:
+        """The distinct values so far, in first-seen (code) order."""
+        return self._dictionary
+
+    def add_block(self, values: Sequence[Any]) -> list[int]:
+        """Encode one block of values; returns their dictionary codes."""
+        codes = _encode_block(values, self._positions, self._dictionary, self._nulls)
         if self._chunk is not None:
-            self._chunk.append(code)
+            self._chunk.extend(codes)
             if len(self._chunk) >= SPILL_CHUNK_CODES:
                 self._flush()
         else:
-            self._codes.append(code)
-        return code
+            self._codes.extend(codes)
+        return codes
 
-    def extend(self, values: Iterator[Any]) -> None:
-        """Encode a whole iterable of values."""
-        for value in values:
-            self.add(value)
+    def extend(self, values: Iterable[Any]) -> None:
+        """Encode a whole iterable of values, one bounded block at a time."""
+        iterator = iter(values)
+        while block := list(islice(iterator, _BLOCK_ROWS)):
+            self.add_block(block)
 
     # -- spill path --------------------------------------------------------
 
@@ -518,7 +561,9 @@ class ColumnEncoder:
             return
         if self._handle is None:
             self._open_spill()
-        payload = self._chunk.tobytes()
+        # The chunk is written straight from its buffer: a tobytes() copy
+        # would double the resident cost of the spill path.
+        payload = self._chunk
 
         def write() -> None:
             if FAULTS.armed:
@@ -530,8 +575,9 @@ class ColumnEncoder:
         from ..harness.retry import RetryPolicy
 
         RetryPolicy().call(write, key=f"storage.spill:{self._path}")
-        self._spilled += len(payload)
-        _trace.count("storage.spilled_bytes", len(payload))
+        spilled = len(payload) * CODE_BYTES
+        self._spilled += spilled
+        _trace.count("storage.spilled_bytes", spilled)
         del self._chunk[:]
 
     def finish(self) -> EncodedColumn:

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import hashlib
 from collections.abc import Iterable, Iterator, Sequence
+from itertools import filterfalse, islice
 from typing import Any
 
-from .encoded import EncodedColumn
+from .encoded import _BLOCK_ROWS, EncodedColumn
 
 Value = Any
 
@@ -28,14 +29,20 @@ class SchemaError(ValueError):
     """Raised for malformed schemas or ragged data."""
 
 
-#: Type tags for :meth:`Relation.fingerprint` value encoding.  ``bool``
-#: must precede ``int`` (it is a subclass) so True/1 get distinct tags.
+#: Type tags for :meth:`Relation.fingerprint` value encoding (``str``
+#: has its own fast path, :func:`_str_token`).  ``bool`` must precede
+#: ``int`` (it is a subclass) so True/1 get distinct tags.
 _VALUE_TAGS: tuple[tuple[type, bytes], ...] = (
     (bool, b"\x00b"),
     (int, b"\x00i"),
     (float, b"\x00f"),
-    (str, b"\x00s"),
 )
+
+
+def _str_token(value: str) -> bytes:
+    """Token of one ``str`` value, the type every CSV cell decodes to."""
+    payload = value.encode("utf-8", "surrogatepass")
+    return b"\x00s%d:%b" % (len(payload), payload)
 
 
 def _value_token(value: Value) -> bytes:
@@ -47,19 +54,39 @@ def _value_token(value: Value) -> bytes:
     """
     if value is None:
         return b"\x00n0:"
+    if type(value) is str:
+        return _str_token(value)
     for kind, tag in _VALUE_TAGS:
         if type(value) is kind:
-            payload = (
-                value.encode("utf-8", "surrogatepass")
-                if kind is str
-                else repr(value).encode()
-            )
+            payload = repr(value).encode()
             return tag + str(len(payload)).encode() + b":" + payload
     # Fallback for exotic hashables: type name + repr.  repr must be
     # deterministic for the fingerprint to be stable; the built-in scalar
     # types every loader in this package produces are all covered above.
     payload = type(value).__name__.encode() + b":" + repr(value).encode()
     return b"\x00o" + str(len(payload)).encode() + b":" + payload
+
+
+def _hash_blocks(digest: "hashlib._Hash", tokens: Iterable[bytes]) -> None:
+    """Stream value tokens through ``digest``, one update per block.
+
+    SHA-256 over a concatenation equals the same bytes fed in several
+    updates, so the block size never changes the digest; it only bounds
+    the joined buffer, which keeps ``mmap`` columns out-of-core.
+    """
+    tokens = iter(tokens)
+    # Tokens are never empty, so an empty join means the stream is done.
+    while block := b"".join(islice(tokens, _BLOCK_ROWS)):
+        digest.update(block)
+
+
+def _memo_tokens(
+    memo: dict[int, bytes], dictionary: list[Value], codes: Sequence[int]
+) -> Iterator[bytes]:
+    """Value tokens of ``codes``; ``memo`` caches one token per code."""
+    missing = list(filterfalse(memo.__contains__, dict.fromkeys(codes)))
+    memo.update(zip(missing, map(_value_token, map(dictionary.__getitem__, missing))))
+    return map(memo.__getitem__, codes)
 
 
 #: Domain separator of the fingerprint format.  v2 hashes each column
@@ -113,6 +140,7 @@ class Relation:
         "_fingerprint",
         "_encodings",
         "_hashers",
+        "_token_memos",
         "_parent_fingerprint",
     )
 
@@ -150,6 +178,9 @@ class Relation:
         # 0).  ``read_csv`` hands over its streaming hashers; in-memory
         # relations rebuild them lazily on the first append.
         self._hashers: list["hashlib._Hash"] | None = None
+        # Per-column code -> token memos of encoded columns, filled by
+        # append_rows with the tokens of the codes its batches touch.
+        self._token_memos: list[dict[int, bytes]] | None = None
         self._parent_fingerprint: str | None = None
 
     # -- constructors ------------------------------------------------------
@@ -261,33 +292,12 @@ class Relation:
         never collide.  Computed once and cached on the instance (the
         relation is immutable).
         """
-        if self._fingerprint is not None:
-            return self._fingerprint
-        hashers = []
-        for index, (name, column) in enumerate(zip(self._names, self._columns)):
-            digest = _column_hasher(name)
-            encoding = self.encoding(index)
-            if encoding is not None:
-                # Token per dictionary entry, streamed per code: the same
-                # byte sequence as tokenizing every row, at dictionary
-                # (not row) tokenization cost.
-                tokens = [_value_token(value) for value in encoding.dictionary]
-                for code in encoding.codes:
-                    digest.update(tokens[code])
-            else:
-                for value in column:
-                    digest.update(_value_token(value))
-            hashers.append(digest)
-        # Keep the streamed hashers: digest() does not consume them, and a
-        # later append_rows advances them at O(batch) instead of paying a
-        # full re-stream in _ensure_hashers.
-        if self._hashers is None:
-            self._hashers = hashers
-        self._fingerprint = _combine_column_digests(
-            len(self._names),
-            self._n_rows,
-            (digest.digest() for digest in hashers),
-        )
+        if self._fingerprint is None:
+            self._fingerprint = _combine_column_digests(
+                len(self._names),
+                self._n_rows,
+                (digest.digest() for digest in self._ensure_hashers()),
+            )
         return self._fingerprint
 
     @property
@@ -308,25 +318,24 @@ class Relation:
 
         Rebuilding costs one pass over the data; relations built by
         ``read_csv`` never pay it because the reader donates its streaming
-        hashers.
+        hashers.  The hashers are kept: ``digest()`` does not consume
+        them, and a later :meth:`append_rows` advances them at O(batch).
         """
-        hashers = self._hashers
-        if hashers is not None:
-            return hashers
-        hashers = []
-        for index, (name, column) in enumerate(zip(self._names, self._columns)):
-            digest = _column_hasher(name)
-            encoding = self.encoding(index)
-            if encoding is not None:
-                tokens = [_value_token(value) for value in encoding.dictionary]
-                for code in encoding.codes:
-                    digest.update(tokens[code])
-            else:
-                for value in column:
-                    digest.update(_value_token(value))
-            hashers.append(digest)
-        self._hashers = hashers
-        return hashers
+        if self._hashers is None:
+            hashers = []
+            for index, (name, column) in enumerate(zip(self._names, self._columns)):
+                digest = _column_hasher(name)
+                encoding = self.encoding(index)
+                if encoding is not None:
+                    # Token per dictionary entry, streamed per code: the
+                    # bytes of tokenizing every row, at dictionary cost.
+                    tokens = list(map(_value_token, encoding.dictionary))
+                    _hash_blocks(digest, map(tokens.__getitem__, encoding.codes))
+                else:
+                    _hash_blocks(digest, map(_value_token, column))
+                hashers.append(digest)
+            self._hashers = hashers
+        return self._hashers
 
     def append_rows(self, rows: Iterable[Sequence[Value]]) -> int:
         """Append a batch of rows in place; returns the number appended.
@@ -357,21 +366,22 @@ class Relation:
             return 0
         parent = self.fingerprint()
         hashers = self._ensure_hashers()
-        batch_columns = list(zip(*materialized))
+        memos = self._token_memos
+        if memos is None:
+            memos = self._token_memos = [{} for _ in self._names]
         columns = list(self._columns)
-        for index, batch in enumerate(batch_columns):
-            digest = hashers[index]
-            for value in batch:
-                digest.update(_value_token(value))
-            column = columns[index]
-            if isinstance(column, EncodedColumn):
-                column.append_values(batch)
+        for index, batch in enumerate(zip(*materialized)):
+            # Hash from the encoding whenever there is one, exactly as
+            # fingerprint() does, so the chain matches a from-scratch hash.
+            encoding = self.encoding(index)
+            if encoding is not None:
+                codes = encoding.append_values(batch)
+                tokens = _memo_tokens(memos[index], encoding.dictionary, codes)
             else:
-                columns[index] = column + batch
-                if self._encodings is not None:
-                    sidecar = self._encodings[index]
-                    if sidecar is not None:
-                        sidecar.append_values(batch)
+                tokens = map(_value_token, batch)
+            _hash_blocks(hashers[index], tokens)
+            if not isinstance(columns[index], EncodedColumn):
+                columns[index] = columns[index] + batch
         self._columns = tuple(columns)
         self._n_rows += len(materialized)
         self._parent_fingerprint = parent
@@ -448,11 +458,14 @@ class Relation:
     def __getstate__(self):
         # Live hash objects cannot be pickled (worker processes receive
         # relations); drop them — the receiver rebuilds lazily on append.
+        # The token memos are a cache, not worth shipping.
         state = {slot: getattr(self, slot) for slot in Relation.__slots__}
         state["_hashers"] = None
+        state["_token_memos"] = None
         return state
 
     def __setstate__(self, state):
+        self._token_memos = None  # absent from pickles of older releases
         for slot, value in state.items():
             setattr(self, slot, value)
 

@@ -14,7 +14,7 @@ import pickle
 import pytest
 
 from repro.relation import Relation, read_csv, write_csv
-from repro.relation.encoded import STORAGE_MODES, use_storage
+from repro.relation.encoded import _BLOCK_ROWS, STORAGE_MODES, use_storage
 from repro.relation.relation import SchemaError
 
 BASE = [
@@ -83,6 +83,25 @@ class TestFingerprintChain:
                 grown.append_rows([("E4", "Spokane")])
         assert grown.n_rows == len(BASE)
         assert grown.fingerprint() == before
+
+    def test_batches_spanning_hash_blocks(self, storage_mode, tmp_path, monkeypatch):
+        # Batches longer than one hash block that repeat earlier values,
+        # add new ones and carry NULLs: hashing from the appended codes
+        # through the token memo must reproduce the from-scratch bytes.
+        monkeypatch.setenv("REPRO_SPILL_DIR", str(tmp_path))
+        rows = [
+            (f"E{i}", f"c{i % 37}", None if i % 5 == 0 else f"s{i % 3}")
+            for i in range(3 * _BLOCK_ROWS)
+        ]
+        path = tmp_path / "base.csv"
+        write_csv(_fresh(rows[:100]), path)
+        with use_storage(storage_mode):
+            grown = read_csv(path)
+            grown.append_rows(rows[100 : 2 * _BLOCK_ROWS])
+            grown.append_rows(rows[2 * _BLOCK_ROWS :])
+        whole = Relation.from_rows(NAMES, rows, name=grown.name)
+        assert list(grown.iter_rows()) == list(whole.iter_rows())
+        assert grown.fingerprint() == whole.fingerprint()
 
 
 class TestHasherLifecycle:

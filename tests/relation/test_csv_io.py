@@ -1,12 +1,20 @@
 """Tests for CSV reading/writing."""
 
+import csv
 import io
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.faults import CSV_READ, FAULTS
 from repro.relation import Relation, SchemaError, read_csv, read_csv_text, write_csv
+from repro.relation.encoded import (
+    _BLOCK_ROWS,
+    STORAGE_MODES,
+    encode_relation,
+    use_storage,
+)
 
 
 class TestRead:
@@ -150,8 +158,132 @@ class TestStreaming:
         assert rel.column("a") == ("x", None, "x")
         assert rel.column("b") == (None, "y", "y")
 
+    def test_duplicate_header_rejected_before_reading_data(self):
+        source = _CountingLines(["a,b,a\n"] + ["1,2,3\n"] * 500)
+        with pytest.raises(SchemaError, match="duplicate column names"):
+            read_csv(source, name="dup")
+        assert source.consumed <= 2, (
+            "a duplicate header must fail before the data is read "
+            f"(consumed {source.consumed} lines)"
+        )
+
     def test_streamed_no_header_decodes_first_line(self):
         rel = read_csv(io.StringIO("1,\n2,3\n"), has_header=False)
         assert rel.column_names == ("column_0", "column_1")
         assert rel.column("column_0") == ("1", "2")
         assert rel.column("column_1") == (None, "3")
+
+
+NULL_MARKERS = ("", "NA", "null")
+
+
+@st.composite
+def _multi_block_rows(draw):
+    """Rows of three string columns spanning more than two read blocks.
+
+    Values carry quoted commas, quotes and newlines; each NULL marker
+    first appears mid-block, past the first block, and then recurs.
+    """
+    n_rows = draw(st.integers(2 * _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS))
+    cardinalities = draw(st.lists(st.integers(1, 3000), min_size=3, max_size=3))
+    starts = draw(
+        st.lists(
+            st.integers(_BLOCK_ROWS + 1, n_rows - 1).filter(
+                lambda row: row % _BLOCK_ROWS
+            ),
+            min_size=len(NULL_MARKERS),
+            max_size=len(NULL_MARKERS),
+        )
+    )
+    rows = []
+    for i in range(n_rows):
+        row = []
+        for column, cardinality in enumerate(cardinalities):
+            value = f"v{i * (column + 3) % cardinality}"
+            if i % 17 == column:
+                value += ',"q"\nx'
+            row.append(value)
+        for offset, (marker, start) in enumerate(zip(NULL_MARKERS, starts)):
+            if i >= start and (i - start) % 7 == 0:
+                row[(i + offset) % 3] = marker
+        rows.append(row)
+    return rows
+
+
+class TestBlockBoundaries:
+    """The read encodes and hashes in blocks of rows; nothing it produces
+    may depend on where the block boundaries fall."""
+
+    @pytest.mark.parametrize("mode", STORAGE_MODES)
+    @settings(max_examples=8, deadline=None)
+    @given(rows=_multi_block_rows())
+    def test_matches_post_hoc_encoding(self, mode, rows):
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerows(rows)
+        with use_storage(mode):
+            streamed = read_csv(
+                io.StringIO(buffer.getvalue()),
+                has_header=False,
+                null_values=NULL_MARKERS,
+            )
+        columns = [
+            [None if value in NULL_MARKERS else value for value in column]
+            for column in zip(*rows)
+        ]
+        post_hoc = encode_relation(
+            Relation(streamed.column_names, columns), storage=mode
+        )
+        assert streamed.n_rows == len(rows)
+        for index in range(streamed.n_columns):
+            mine, theirs = streamed.encoding(index), post_hoc.encoding(index)
+            if mode == "objects":
+                assert mine is None and theirs is None
+                assert streamed.column(index) == post_hoc.column(index)
+            else:
+                assert mine.dictionary == theirs.dictionary
+                assert bytes(mine.codes) == bytes(theirs.codes)
+        assert streamed.fingerprint() == post_hoc.fingerprint()
+
+    def test_ragged_first_row_of_second_block_reports_its_line(self):
+        good = "".join(f"{i},{i}\n" for i in range(_BLOCK_ROWS))
+        with pytest.raises(
+            SchemaError, match=rf"^line {_BLOCK_ROWS + 2}: expected 2 fields, found 1$"
+        ):
+            read_csv_text("a,b\n" + good + "x\n1,2\n")
+        with pytest.raises(SchemaError, match=rf"^line {_BLOCK_ROWS + 1}: "):
+            read_csv_text(good + "x\n1,2\n", has_header=False)
+
+    @pytest.mark.parametrize("has_header", [True, False])
+    def test_fault_point_is_hit_once_per_data_row(self, has_header):
+        n_rows = 2 * _BLOCK_ROWS + 3
+        text = ("a,b\n" if has_header else "") + "".join(
+            f"{i},x\n" for i in range(n_rows)
+        )
+        FAULTS.arm(CSV_READ, at=10 * n_rows)  # counts hits, never fires
+        try:
+            read_csv_text(text, has_header=has_header)
+            assert FAULTS.hits(CSV_READ) == n_rows
+        finally:
+            FAULTS.disarm(CSV_READ)
+
+
+def _golden_csv() -> str:
+    lines = ["id,city,note"]
+    for i in range(2600):
+        city = ("", "Berlin", "Köln", "NA", "Zürich")[i * 7 % 5]
+        note = f'"n{i % 97}, ""q""\nx"' if i % 11 == 0 else f"n{i % 97}"
+        lines.append(f"{i % 1500},{city},{note}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("mode", STORAGE_MODES)
+def test_golden_fingerprint_is_stable(mode):
+    # Result-cache and checkpoint keys are fingerprints: a change to the
+    # read path must not change the bytes it hashes.  This digest was
+    # computed by the per-value read that preceded the block read.
+    with use_storage(mode):
+        relation = read_csv_text(_golden_csv(), null_values=("", "NA"))
+    assert relation.n_rows == 2600
+    assert relation.fingerprint() == (
+        "6cd1f999ffb4740f7d82ab24c7baa9153b60ccf43cda1b3c8e7f2f32d118a551"
+    )
