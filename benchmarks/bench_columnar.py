@@ -1,17 +1,22 @@
 """Columnar-storage benchmark: dictionary-encoded codes vs boxed objects.
 
 Two experiments, each cell isolated in a **subprocess** so peak RSS
-(``resource.getrusage``) is attributable to exactly one storage mode:
+(``resource.getrusage``) is attributable to exactly one configuration:
 
 * **end-to-end cells** — a 1M-row ``uniprot_like`` CSV is ingested once
-  per storage mode (read + streamed fingerprint), then every non-trivial
-  column pair is one *cell*: build both single-column PLIs from what the
-  storage holds and intersect them, cold each repeat.  Cells whose
-  object-baseline time is above the median are the **intersect-heavy**
-  cells; the acceptance bar (median end-to-end speedup ≥ 2x vs the
-  object-column baseline, on the numpy backend) is held on exactly
-  those.  Cluster checksums pin bit-identical results across all three
-  storage modes; ingest wall time and peak RSS per mode are disclosed.
+  per configuration (read + streamed fingerprint), then every
+  non-trivial column pair is one *cell*: build both single-column PLIs
+  and intersect them, cold each repeat.  The ``encoded`` and ``mmap``
+  storage modes build the PLIs from the codes the storage holds.  The
+  ``objects`` baseline is the seed's object-column path, kept here only:
+  it decodes each column to a tuple of values once after the read and
+  groups the two value tuples of a cell with
+  :func:`~repro.pli.pli.pli_from_column`.  Cells whose baseline time is
+  above the median are the **intersect-heavy** cells; the acceptance bar
+  (median end-to-end speedup ≥ 2x vs the object-column baseline, on the
+  numpy backend) is held on exactly those.  Cluster checksums pin
+  bit-identical results across all three configurations; ingest wall
+  time and peak RSS per configuration are disclosed.
 * **out-of-core 10M-row workload** — a categorical CSV too large to
   profile as boxed objects is streamed to disk, then profiled under
   ``--storage mmap``: single-pass read spills code arrays to
@@ -119,16 +124,25 @@ def _peak_rss_bytes() -> int:
 
 
 def child_cells(spec: dict) -> dict:
-    """Child body: ingest a CSV under one storage mode, then run every
-    non-trivial column pair as a cold storage→PLIs→intersection cell."""
+    """Child body: ingest a CSV under one configuration, then run every
+    non-trivial column pair as a cold storage→PLIs→intersection cell.
+
+    Mode ``objects`` is the object-column baseline: the read is the
+    usual encoded one, each column is decoded to a tuple once (counted
+    as ingest), and cells group value tuples with ``pli_from_column``."""
     from repro.pli import RelationIndex, use_backend
+    from repro.pli.pli import pli_from_column
     from repro.relation import encoded as storage
     from repro.relation import read_csv
 
-    with storage.use_storage(spec["mode"]), use_backend(spec["backend"]):
+    baseline = spec["mode"] == "objects"
+    storage_mode = "encoded" if baseline else spec["mode"]
+    with storage.use_storage(storage_mode), use_backend(spec["backend"]):
         started = time.perf_counter()
         relation = read_csv(spec["csv"])
         fingerprint = relation.fingerprint()
+        if baseline:
+            values = [tuple(relation.column(c)) for c in range(relation.n_columns)]
         ingest_seconds = time.perf_counter() - started
 
         probe = RelationIndex(relation)
@@ -146,10 +160,16 @@ def child_cells(spec: dict) -> dict:
                     continue
                 best, checksum = None, None
                 for _ in range(spec["repeats"]):
-                    pair = relation.project([left, right])
-                    cell_start = time.perf_counter()
-                    index = RelationIndex(pair)
-                    joint = index.column_pli(0).intersect(index.column_pli(1))
+                    if baseline:
+                        cell_start = time.perf_counter()
+                        joint = pli_from_column(values[left]).intersect(
+                            pli_from_column(values[right])
+                        )
+                    else:
+                        pair = relation.project([left, right])
+                        cell_start = time.perf_counter()
+                        index = RelationIndex(pair)
+                        joint = index.column_pli(0).intersect(index.column_pli(1))
                     seconds = time.perf_counter() - cell_start
                     # Int-tuple hashing is process-stable: a cross-mode
                     # parity checksum that never ships the clusters.
@@ -247,7 +267,7 @@ def end_to_end_cells(rows: int, backend: str, repeats: int) -> dict:
 
     fingerprints = {report["fingerprint"] for report in by_mode.values()}
     if len(fingerprints) != 1:
-        raise AssertionError("storage modes disagree on the fingerprint")
+        raise AssertionError("configurations disagree on the fingerprint")
     baseline = {tuple(c["pair"]): c for c in by_mode["objects"]["cells"]}
     cells = []
     for cell in by_mode["encoded"]["cells"]:
@@ -260,7 +280,7 @@ def end_to_end_cells(rows: int, backend: str, repeats: int) -> dict:
             reference["checksum"] == cell["checksum"] == mmap_cell["checksum"]
         ):
             raise AssertionError(
-                f"cluster checksum diverged across storage modes on {pair}"
+                f"cluster checksum diverged across configurations on {pair}"
             )
         cells.append(
             {

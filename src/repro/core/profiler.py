@@ -80,11 +80,12 @@ def profile(
         kernel's speed changes.  Scoped: the previous backend is restored
         on return.
     storage:
-        Column-storage mode for this call's PLI substrate (``"objects"``
-        / ``"encoded"`` / ``"mmap"``); ``None`` keeps the process's armed
-        mode (default ``encoded``, or ``$REPRO_STORAGE``).  Metadata and
-        counters are bit-identical across modes — only memory residency
-        and speed change.  Scoped like ``pli_backend``.
+        Column-storage mode for this call's PLI substrate
+        (``"encoded"`` keeps column codes in memory, ``"mmap"`` in spill
+        files); ``None`` keeps the process's armed mode (default
+        ``encoded``, or ``$REPRO_STORAGE``).  Metadata and counters are
+        bit-identical across modes — only memory residency and speed
+        change.  Scoped like ``pli_backend``.
 
     Returns
     -------

@@ -12,10 +12,15 @@ test arms them.
 Arming is deterministic: :meth:`FaultRegistry.arm` fires on the *N*-th hit
 of a point (exactly once), :meth:`FaultRegistry.arm_seeded` draws per-hit
 from a seeded :class:`random.Random` so probabilistic campaigns replay
-bit-identically.  The public face for harness users is
-:mod:`repro.harness.faults`; this module is import-order neutral (stdlib
-only) so the lowest substrate layers can call :meth:`FaultRegistry.trip`
-without creating an import cycle.
+bit-identically.  This module is import-order neutral (stdlib only) so
+the lowest substrate layers can call :meth:`FaultRegistry.trip` without
+creating an import cycle; :mod:`repro.harness` re-exports ``FAULTS`` and
+``FaultInjected`` for harness users.
+
+Two environment gates keep the dedicated suites out of the tier-1 run:
+the fault-injection suite runs only when ``REPRO_FAULTS=1``
+(:func:`fault_suite_enabled`) and the chaos campaign only when
+``REPRO_CHAOS=1`` (:func:`chaos_suite_enabled`), each as its own CI step.
 
 The fast path costs one attribute read: sites guard their trip call with
 ``if FAULTS.armed:`` and the registry keeps that flag in sync, so
@@ -24,6 +29,7 @@ production runs never pay for the machinery.
 
 from __future__ import annotations
 
+import os
 import random
 
 __all__ = [
@@ -42,6 +48,8 @@ __all__ = [
     "FaultInjected",
     "FaultRegistry",
     "FAULTS",
+    "chaos_suite_enabled",
+    "fault_suite_enabled",
 ]
 
 #: Fault point hit once per CSV data row decoded by ``read_csv``.
@@ -209,3 +217,14 @@ class FaultRegistry:
 
 #: The process-wide registry every instrumented site trips against.
 FAULTS = FaultRegistry()
+
+
+def fault_suite_enabled() -> bool:
+    """True when the dedicated fault-injection suite should run
+    (``REPRO_FAULTS=1`` in the environment)."""
+    return os.environ.get("REPRO_FAULTS") == "1"
+
+
+def chaos_suite_enabled() -> bool:
+    """True when the chaos campaign should run (``REPRO_CHAOS=1``)."""
+    return os.environ.get("REPRO_CHAOS") == "1"

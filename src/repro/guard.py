@@ -21,9 +21,9 @@ re-raise, which is how the harness records graceful-degradation cells
 instead of losing the run.
 
 Like :mod:`repro.faults` this module is import-order neutral (stdlib
-only) so the lowest layers can use it; :mod:`repro.harness.budget`
-re-exports the public names for harness users.  The guard is
-process-global and single-threaded, matching the kernel's
+only) so the lowest layers can use it; :mod:`repro.harness` re-exports
+``Budget``, ``BudgetExceeded`` and ``guarded`` for harness users.  The
+guard is process-global and single-threaded, matching the kernel's
 :data:`~repro.pli.pli.KERNEL_STATS`.
 """
 
@@ -46,15 +46,12 @@ __all__ = [
     "guarded",
 ]
 
-#: Rough CPython cost of one row id held in a PLI cluster under *object*
-#: storage (a boxed int plus its tuple slot).  The memory budget is an
-#: *estimate* by design: it bounds the clustered rows materialized by
-#: intersections, the only quantity that grows without bound on
-#: adversarial inputs.  Under the dictionary-encoded storage modes the
-#: per-row figure is rebased to the dense encoded width (8 B) — budgets
-#: resolve the active storage mode at :meth:`Budget.start` via
-#: :func:`repro.relation.encoded.estimated_bytes_per_clustered_row`.
-ESTIMATED_BYTES_PER_CLUSTERED_ROW = 32
+#: Estimated cost of one row id held in a PLI cluster: the dense width
+#: (an int64 row id) the encoded substrate feeds the kernel.  The memory
+#: budget is an *estimate* by design: it bounds the clustered rows
+#: materialized by intersections, the only quantity that grows without
+#: bound on adversarial inputs.
+ESTIMATED_BYTES_PER_CLUSTERED_ROW = 8
 
 
 class BudgetExceeded(RuntimeError):
@@ -107,11 +104,9 @@ class Budget:
         loops to two integer operations.  Intersections always check.
     bytes_per_clustered_row:
         Estimated memory per clustered row id used by the cluster-memory
-        accounting.  ``None`` (the default) resolves from the active
-        storage mode at each :meth:`start` — 32 B for boxed object
-        columns, 8 B once the substrate runs on dictionary-encoded code
-        arrays — so one ``--max-cluster-bytes`` figure means the same
-        physical bound whichever storage mode a run selects.
+        accounting.  ``None`` (the default) means
+        :data:`ESTIMATED_BYTES_PER_CLUSTERED_ROW`, the same 8 B under
+        both storage modes.
 
     A budget is re-armed by :meth:`start` (which :func:`guarded` calls),
     so one instance can be reused across executions; ``intersections``,
@@ -168,14 +163,9 @@ class Budget:
         """(Re-)arm the budget: zero the counters, anchor the deadline."""
         self.intersections = 0
         self.cluster_bytes = 0
-        if self._configured_bytes_per_row is not None:
-            self.bytes_per_clustered_row = self._configured_bytes_per_row
-        else:
-            # Deferred import: this module stays import-order neutral for
-            # the substrate layers that import it at load time.
-            from .relation.encoded import estimated_bytes_per_clustered_row
-
-            self.bytes_per_clustered_row = estimated_bytes_per_clustered_row()
+        self.bytes_per_clustered_row = (
+            self._configured_bytes_per_row or ESTIMATED_BYTES_PER_CLUSTERED_ROW
+        )
         self._ticks = 0
         self._started_at = time.perf_counter()
         self._deadline_at = (

@@ -1,18 +1,21 @@
 """Metanome-like execution framework, experiment runner, and reporting."""
 
-# Imported first so ``repro.harness.checkpoint`` always names the
-# submodule: the guard's cooperative tick *function* of the same name is
-# deliberately not re-exported here (use ``repro.guard.checkpoint`` or
-# ``repro.harness.budget.checkpoint``).
-from . import checkpoint  # noqa: F401  (binds the submodule name)
-from .budget import Budget, BudgetExceeded, guarded
-from .checkpoint import CheckpointSession, CheckpointStore, SimulatedCrash
-from .faults import (
+# The guard, fault registry and tracer live in import-order-neutral
+# leaf modules (``repro.guard``, ``repro.faults``, ``repro.trace``) so the
+# substrate can use them without importing the harness; their harness
+# names are re-exported here.  The guard's cooperative tick *function*
+# ``checkpoint`` is deliberately not: ``repro.harness.checkpoint`` names
+# the submodule (use ``repro.guard.checkpoint`` for the function).
+from ..faults import (
     FAULTS,
     FaultInjected,
     chaos_suite_enabled,
     fault_suite_enabled,
 )
+from ..guard import Budget, BudgetExceeded, guarded
+from ..trace import Tracer, trace_summary
+from . import checkpoint  # noqa: F401  (binds the submodule name)
+from .checkpoint import CheckpointSession, CheckpointStore, SimulatedCrash
 from .framework import (
     STATUS_MARKERS,
     Execution,
@@ -29,7 +32,6 @@ from .result_cache import DEFAULT_CACHE_DIR, ResultCache
 from .retry import RetryPolicy
 from .runner import ExperimentRunner, SweepJournal, SweepPoint, sweep_table
 from .signals import EXIT_INTERRUPTED, Interrupted, graceful_shutdown
-from .trace import Tracer, trace_summary
 from .watchdog import Watchdog
 
 __all__ = [

@@ -38,7 +38,7 @@ campaign exercises the torn-write paths.  The names the algorithms
 themselves touch (the :data:`~repro.checkpointing.ACTIVE` session handle,
 :class:`~repro.checkpointing.SimulatedCrash`, the JSON state helpers)
 live in the import-order-neutral :mod:`repro.checkpointing` — the same
-layering as :mod:`repro.guard` / :mod:`repro.harness.budget` — and are
+layering as :mod:`repro.guard` / :mod:`repro.harness` — and are
 re-exported here as the harness face.
 """
 

@@ -519,9 +519,9 @@ def default_framework(
     PLI kernel backend process-wide (``"python"``/``"numpy"``; ``None``
     keeps the currently armed one) — the results are bit-identical either
     way, only the kernel's speed changes.  ``storage`` likewise arms a
-    column-storage mode process-wide
-    (``"objects"``/``"encoded"``/``"mmap"``; ``None`` keeps the armed
-    one): metadata and counters are identical across modes, only memory
+    column-storage mode process-wide (``"encoded"`` keeps column codes
+    in memory, ``"mmap"`` in spill files; ``None`` keeps the armed one):
+    metadata and counters are identical across modes, only memory
     residency and speed change.
     """
     from ..algorithms.tane import TaneResult, tane

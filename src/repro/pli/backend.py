@@ -139,31 +139,17 @@ class PythonBackend:
                     return False, scanned
         return True, scanned
 
-    def as_vector(self, vector: list[int]) -> Sequence[int]:
-        """Native dense-vector representation (the flat list itself)."""
-        return vector
-
-    def extend_vector(
-        self, vector: Sequence[int], batch: Sequence[int]
-    ) -> Sequence[int]:
-        """Append batch ids to a dense vector (list extension, in place)."""
-        if isinstance(vector, list):
-            vector.extend(batch)
-            return vector
-        extended = list(vector)
-        extended.extend(batch)
-        return extended
-
     # -- dictionary-encoded column ingest -----------------------------------
 
     def vector_from_codes(self, column: Any) -> Sequence[int]:
         """Dense value vector of an encoded column.
 
         Codes are assigned in first-seen order, so the code array *is*
-        the dense value vector the object path would compute — no second
-        grouping pass.  In-memory columns flatten to a list (the fast
-        subscript the probe loops rely on); mmap-backed columns stay a
-        memoryview to keep the bounded-memory property.
+        the dense value vector :func:`~repro.pli.pli.value_vector` would
+        compute from the values — no second grouping pass.  In-memory
+        columns flatten to a list (the fast subscript the probe loops
+        rely on); mmap-backed columns stay a memoryview to keep the
+        bounded-memory property.
         """
         return column.python_vector()
 
@@ -173,10 +159,10 @@ class PythonBackend:
         """Single-column PLI clusters from a code array.
 
         Grouping is a counting pass over dense ints — a list subscript
-        per row instead of the object path's per-value hash and
-        equality.  Because codes are first-seen ordered, bucket order is
-        first-occurrence order: clusters come out canonical (ascending
-        min row, ascending rows within) with no sort.
+        per row instead of a per-value hash and equality.  Because codes
+        are first-seen ordered, bucket order is first-occurrence order:
+        clusters come out canonical (ascending min row, ascending rows
+        within) with no sort.
 
         Returns ``(clusters, backend state)``; the python backend has no
         array state (``None``).
@@ -385,22 +371,6 @@ class NumpyBackend:
         if mismatch.any():
             return False, int(mismatch.argmax()) + 1
         return True, int(sizes.size)
-
-    def as_vector(self, vector: list[int]) -> Sequence[int]:
-        """Dense value vectors as ``int64`` arrays, so refinement probes
-        gather without a per-call list conversion."""
-        return _np.asarray(vector, dtype=_np.int64)
-
-    def extend_vector(
-        self, vector: Sequence[int], batch: Sequence[int]
-    ) -> Sequence[int]:
-        """Append batch ids to a dense vector (array concatenation)."""
-        return _np.concatenate(
-            [
-                _np.asarray(vector),
-                _np.asarray(batch, dtype=_np.asarray(vector).dtype),
-            ]
-        )
 
     # -- dictionary-encoded column ingest -----------------------------------
 

@@ -2,7 +2,8 @@
 
 Building this index is the "one shared I/O + PLI construction" step of the
 holistic algorithms (§3, §5): the input is read once, every column is
-grouped by value, and from that single pass we obtain
+grouped by value (through its dictionary codes), and from that single
+pass we obtain
 
 * the stripped single-column PLIs (pinned in the cache),
 * dense value vectors (the probe side of FD refinement checks),
@@ -87,51 +88,24 @@ class RelationIndex:
         self._pending_merges: dict[int, tuple[PLI, tuple[int, ...]]] = {}
         self._pending_colliders: list[dict[int, tuple[int, ...]]] = []
 
-        # Under an encoded storage mode, in-memory relations (generators,
-        # tests) gain dictionary encodings here; CSV-read relations already
-        # carry them.  The code path below then replaces per-value hashing
-        # with integer grouping for every encoded column.
-        if _encoded.ACTIVE != "objects":
-            _encoded.encode_relation(relation)
-
+        # In-memory relations (generators, tests) gain dictionary
+        # encodings here; CSV-read relations already carry them.  Codes
+        # are first-seen ordered, so the code array is the dense value
+        # vector, the dictionary is the duplicate-free value list, and
+        # code-grouped clusters are already canonical — one integer pass
+        # per column, no per-value hashing.
+        _encoded.encode_relation(relation)
         for column_index in range(self.n_columns):
             encoding = relation.encoding(column_index)
-            if encoding is not None:
-                # Codes are first-seen ordered, so the code array is the
-                # dense value vector, the dictionary is the duplicate-free
-                # value list, and code-grouped clusters are already
-                # canonical — one integer pass replaces the hash grouping.
-                clusters, np_state = kernel_backend.column_pli_from_codes(
-                    encoding, self.n_rows
-                )
-                pli = PLI._from_canonical(clusters, self.n_rows)
-                if np_state is not None:
-                    pli._np = np_state
-                self.cache.put(bit(column_index), pli)
-                self._vectors.append(kernel_backend.vector_from_codes(encoding))
-                self._distinct_values.append(list(encoding.dictionary))
-                continue
-            values = relation.column(column_index)
-            # One grouping pass per column yields the PLI, the dense value
-            # vector, and the duplicate-free value list together.
-            groups: dict[Any, list[int]] = {}
-            for row, value in enumerate(values):
-                group = groups.get(value)
-                if group is None:
-                    groups[value] = [row]
-                else:
-                    group.append(row)
-            pli = PLI._from_canonical(
-                tuple(tuple(g) for g in groups.values() if len(g) >= 2),
-                self.n_rows,
+            clusters, np_state = kernel_backend.column_pli_from_codes(
+                encoding, self.n_rows
             )
+            pli = PLI._from_canonical(clusters, self.n_rows)
+            if np_state is not None:
+                pli._np = np_state
             self.cache.put(bit(column_index), pli)
-            vector = [0] * self.n_rows
-            for value_id, group in enumerate(groups.values()):
-                for row in group:
-                    vector[row] = value_id
-            self._vectors.append(kernel_backend.as_vector(vector))
-            self._distinct_values.append(list(groups))
+            self._vectors.append(kernel_backend.vector_from_codes(encoding))
+            self._distinct_values.append(list(encoding.dictionary))
 
     # -- single-column views -------------------------------------------------
 
@@ -329,30 +303,13 @@ class RelationIndex:
             encoding = relation.encoding(column_index)
             state = self._deltas[column_index]
             known_distinct = len(self._distinct_values[column_index])
-            if encoding is not None:
-                if state is None:
-                    state = ColumnDelta.from_codes(
-                        encoding.codes[:old_n_rows], len(encoding.dictionary)
-                    )
-                    self._deltas[column_index] = state
-                batch_codes = list(encoding.codes[old_n_rows:])
-                new_values = list(encoding.dictionary[known_distinct:])
-            else:
-                column = relation.column(column_index)
-                if state is None:
-                    state = ColumnDelta.from_values(column[:old_n_rows])
-                    self._deltas[column_index] = state
-                batch_values = column[old_n_rows:]
-                batch_codes = state.encode_batch(batch_values)
-                # Codes are assigned sequentially, so the batch's first
-                # occurrence of each new value is where the next fresh id
-                # appears.
-                new_values = []
-                next_new = known_distinct
-                for value, code in zip(batch_values, batch_codes):
-                    if code == next_new:
-                        new_values.append(value)
-                        next_new += 1
+            if state is None:
+                state = ColumnDelta.from_codes(
+                    encoding.codes[:old_n_rows], len(encoding.dictionary)
+                )
+                self._deltas[column_index] = state
+            batch_codes = list(encoding.codes[old_n_rows:])
+            new_values = list(encoding.dictionary[known_distinct:])
             self._distinct_values[column_index].extend(new_values)
             delta.new_values.append(new_values)
 
@@ -373,15 +330,11 @@ class RelationIndex:
             vector = self._vectors[column_index]
             if isinstance(vector, list):
                 vector.extend(batch_codes)
-            elif encoding is not None:
+            else:
                 # Backend-native views over the (grown) code buffer: a
                 # fresh zero-copy view replaces the stale one.
                 self._vectors[column_index] = kernel_backend.vector_from_codes(
                     encoding
-                )
-            else:
-                self._vectors[column_index] = kernel_backend.extend_vector(
-                    vector, batch_codes
                 )
 
         # Composite entries: keep (re-wrapped for the new row count) every

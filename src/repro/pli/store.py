@@ -53,9 +53,9 @@ class PliStore:
         give every worker the sweep's backend.  ``None`` keeps whatever
         is armed (the environment default).
     storage:
-        Column-storage mode the substrate ingests relations under
-        (``"objects"`` / ``"encoded"`` / ``"mmap"``).  Process-global
-        like ``pli_backend``; ``None`` keeps the armed mode.
+        Where the substrate keeps column codes (``"encoded"`` in memory,
+        ``"mmap"`` in spill files).  Process-global like
+        ``pli_backend``; ``None`` keeps the armed mode.
     """
 
     def __init__(

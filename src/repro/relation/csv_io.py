@@ -20,7 +20,6 @@ from pathlib import Path
 from typing import TextIO
 
 from ..faults import CSV_READ, FAULTS
-from . import encoded as _encoded
 from .encoded import _BLOCK_ROWS, ColumnEncoder
 from .relation import (
     Relation,
@@ -45,16 +44,17 @@ def read_csv(
 ) -> Relation:
     """Read a CSV file (or open handle) into a :class:`Relation`.
 
-    The read is a **single streaming pass** shared by three consumers
+    The read is a **single streaming pass** shared by two consumers
     (paper §3's "one shared I/O" argument, taken literally): the decoded
     values are (a) dictionary-encoded into the active storage mode's code
-    arrays (``encoded``/``mmap``; under ``objects`` the boxed tuples of
-    the seed representation are kept), and (b) streamed through a
-    per-column fingerprint hasher, so :meth:`Relation.fingerprint` — the
-    result-cache key — is already computed when the function returns.  In
-    ``mmap`` mode the decoded objects are *not* materialized: codes spill
-    to memory-mapped files and only the per-column dictionaries stay
-    resident, so peak memory scales with distinct values, not rows.
+    arrays, whose :class:`~repro.relation.encoded.EncodedColumn` objects
+    become the relation's columns, and (b) streamed through a per-column
+    fingerprint hasher, so :meth:`Relation.fingerprint` — the
+    result-cache key — is already computed when the function returns.
+    The values themselves are never materialized per row: ``encoded``
+    keeps the codes in memory, ``mmap`` spills them to memory-mapped
+    files, and only the per-column dictionaries stay resident, so under
+    ``mmap`` peak memory scales with distinct values, not rows.
 
     The pass is block-columnar.  Each row is width-checked (and trips
     the ``csv.read`` fault point) as it arrives, so a ragged line aborts
@@ -120,14 +120,8 @@ def read_csv(
         rows = chain([(1, first)], rows)  # the first data row was line 1
     width = len(header)
 
-    storage = _encoded.ACTIVE
     hashers = [_column_hasher(str(column_name)) for column_name in header]
-    # objects storage encodes in memory too — the dictionary pass is what
-    # maps NULL markers and feeds the hashers — and decodes at the end.
-    encoders = [
-        ColumnEncoder("encoded" if storage == "objects" else storage, nulls=nulls)
-        for _ in range(width)
-    ]
+    encoders = [ColumnEncoder(nulls=nulls) for _ in range(width)]
     # One token per dictionary entry, built when the value is first seen.
     tokens: list[list[bytes]] = [[] for _ in range(width)]
 
@@ -164,11 +158,6 @@ def read_csv(
             encoder.abort()
         raise
 
-    if storage == "objects":
-        built = [
-            tuple(map(column.dictionary.__getitem__, column.codes))
-            for column in built
-        ]
     relation = Relation(header, built, name=name or "relation")
     relation._fingerprint = _combine_column_digests(
         width, n_rows, (hasher.digest() for hasher in hashers)

@@ -17,13 +17,11 @@ no per-value hashing or boxing at all
 the NumPy backend's argsort grouping, which consumes the code buffer
 zero-copy via ``np.frombuffer``).
 
-Three **storage modes** exist, selected process-globally like the PLI
+Every column reaches the PLI substrate as codes.  Two **storage modes**
+decide where the codes live, selected process-globally like the PLI
 kernel backend (``--storage`` / ``$REPRO_STORAGE`` /
 :func:`set_storage` / :func:`use_storage`):
 
-* ``objects`` — the seed representation: columns are tuples of boxed
-  Python values, the index re-groups them per column.  Kept as the
-  differential baseline.
 * ``encoded`` — the default: code arrays live in ``array('i')`` buffers
   (stdlib only, the zero-dependency promise).  This is the mode every
   pipeline runs on unless told otherwise.
@@ -42,8 +40,10 @@ absorbed exactly like cache/checkpoint writes).
 
 Exactness: encoding is a bijective re-labelling per column, so PLIs,
 value vectors, and distinct-value lists derived from codes are
-bit-identical to the object path — the differential and metamorphic
-suites parametrize over all three modes to pin this.
+bit-identical to grouping the values themselves — the differential
+suite pins both modes against the value-grouping reference
+(:func:`repro.pli.pli.pli_from_column` /
+:func:`~repro.pli.pli.value_vector`).
 """
 
 from __future__ import annotations
@@ -74,7 +74,6 @@ __all__ = [
     "active_storage",
     "encode_column",
     "encode_relation",
-    "estimated_bytes_per_clustered_row",
     "resolve_storage",
     "set_storage",
     "spill_directory",
@@ -86,8 +85,8 @@ ENV_VAR = "REPRO_STORAGE"
 #: Environment variable overriding the spill directory for ``mmap`` mode.
 SPILL_DIR_ENV = "REPRO_SPILL_DIR"
 
-#: Valid storage modes, in "most boxed" to "least resident" order.
-STORAGE_MODES = ("objects", "encoded", "mmap")
+#: Valid storage modes, in "most resident" to "least resident" order.
+STORAGE_MODES = ("encoded", "mmap")
 
 #: Bytes per code: ``array('i')`` / little-endian ``int32`` on every
 #: platform this package targets (dictionary sizes are bounded by the
@@ -191,20 +190,6 @@ def spill_directory(override: str | None = None) -> str:
     root = override or os.environ.get(SPILL_DIR_ENV) or tempfile.gettempdir()
     os.makedirs(root, exist_ok=True)
     return root
-
-
-def estimated_bytes_per_clustered_row(storage: str | None = None) -> int:
-    """Estimated memory cost of one clustered row id under ``storage``.
-
-    The execution guard's cluster-memory budget multiplies clustered
-    rows by this figure.  Object storage pays a boxed int plus its tuple
-    slot (~32 B); encoded storage is accounted at the dense-code width
-    the substrate actually feeds the kernel.
-    """
-    mode = resolve_storage(storage) if storage is not None else ACTIVE
-    if mode == "objects":
-        return 32
-    return 8  # int64 row id in an encoded cluster / kernel array
 
 
 class EncodedColumn:
@@ -500,10 +485,6 @@ class ColumnEncoder:
         nulls: frozenset = frozenset(),
     ):
         self.storage = resolve_storage(storage) if storage is not None else ACTIVE
-        if self.storage == "objects":
-            raise StorageUnavailable(
-                "objects storage has no encoder; build the relation directly"
-            )
         self._dictionary: list[Any] = []
         self._positions: dict[Any, int] = {}
         self._nulls = nulls
@@ -643,13 +624,11 @@ def encode_relation(
 
     Columns that are already :class:`EncodedColumn` instances are kept;
     plain columns gain a sidecar encoding, leaving the object tuples
-    untouched (``objects`` mode is therefore a no-op).  The substrate
-    (:class:`~repro.pli.index.RelationIndex`) consults
-    ``relation.encoding(i)`` and takes the code path whenever one exists.
+    untouched.  The substrate (:class:`~repro.pli.index.RelationIndex`)
+    calls this before it reads ``relation.encoding(i)``, so every column
+    reaches the PLI layer as codes.
     """
     mode = resolve_storage(storage) if storage is not None else ACTIVE
-    if mode == "objects":
-        return relation
     if all(
         relation.encoding(index) is not None
         for index in range(relation.n_columns)

@@ -18,7 +18,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from itertools import filterfalse, islice
 from typing import Any
 
-from .encoded import _BLOCK_ROWS, EncodedColumn
+from .encoded import _BLOCK_ROWS, EncodedColumn, encode_column
 
 Value = Any
 
@@ -142,6 +142,7 @@ class Relation:
         "_hashers",
         "_token_memos",
         "_parent_fingerprint",
+        "_shares_columns",
     )
 
     def __init__(
@@ -182,6 +183,9 @@ class Relation:
         # append_rows with the tokens of the codes its batches touch.
         self._token_memos: list[dict[int, bytes]] | None = None
         self._parent_fingerprint: str | None = None
+        # Set by project(): encoded columns may be held by another
+        # relation too, so the first append copies them (_unshare).
+        self._shares_columns = False
 
     # -- constructors ------------------------------------------------------
 
@@ -258,8 +262,7 @@ class Relation:
         :class:`~repro.relation.encoded.EncodedColumn` (the ``read_csv``
         path) or because :func:`~repro.relation.encoded.encode_relation`
         attached a sidecar (in-memory relations).  The PLI substrate
-        consults this and takes the integer-code path whenever it is
-        non-``None``.
+        attaches the sidecars before it reads the codes from here.
         """
         index = self.column_index(key)
         column = self._columns[index]
@@ -364,6 +367,8 @@ class Relation:
                 )
         if not materialized:
             return 0
+        if self._shares_columns:
+            self._unshare()
         parent = self.fingerprint()
         hashers = self._ensure_hashers()
         memos = self._token_memos
@@ -390,6 +395,27 @@ class Relation:
         )
         return len(materialized)
 
+    def _unshare(self) -> None:
+        """Re-encode this relation's encoded columns into private copies.
+
+        ``append_rows`` grows encoded columns (and sidecar encodings) in
+        place, so a relation holding column objects it shares with a
+        projection copies them before its first append.  The copies have
+        the same codes and dictionaries, in the same storage mode.
+        """
+        self._columns = tuple(
+            encode_column(col, storage=col.storage)
+            if isinstance(col, EncodedColumn)
+            else col
+            for col in self._columns
+        )
+        if self._encodings is not None:
+            self._encodings = tuple(
+                None if enc is None else encode_column(enc, storage=enc.storage)
+                for enc in self._encodings
+            )
+        self._shares_columns = False
+
     # -- transformations ---------------------------------------------------
 
     def project(self, keys: Sequence[int | str], name: str | None = None) -> "Relation":
@@ -402,6 +428,9 @@ class Relation:
         )
         if self._encodings is not None:
             projected._encodings = tuple(self._encodings[i] for i in indexes)
+        # Both relations now hold the same encoded column objects; an
+        # append to either must not grow the other's.
+        self._shares_columns = projected._shares_columns = True
         return projected
 
     def head(self, n_rows: int, name: str | None = None) -> "Relation":

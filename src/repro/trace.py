@@ -26,7 +26,8 @@ of a serial sweep and of a ``jobs=N`` sweep compare structurally equal.
 
 Like :mod:`repro.guard`, this is a stdlib-only leaf module so the PLI
 kernel and the algorithms can hook in without importing the harness;
-:mod:`repro.harness.trace` re-exports the public names for harness users.
+:mod:`repro.harness` re-exports ``Tracer`` and ``trace_summary`` for
+harness users.
 """
 
 from __future__ import annotations

@@ -5,6 +5,7 @@ from hypothesis import given
 
 from repro import Relation, choose_algorithm, profile
 from repro.core.profiler import ALGORITHMS, MUDS_COLUMN_THRESHOLD
+from repro.relation import encoded as _storage
 
 from ..conftest import relations
 
@@ -28,6 +29,12 @@ class TestProfileFacade:
     def test_unknown_algorithm_rejected(self, employees):
         with pytest.raises(ValueError):
             profile(employees, algorithm="quantum")
+
+    def test_unknown_storage_rejected(self, employees):
+        before = _storage.ACTIVE
+        with pytest.raises(_storage.StorageUnavailable):
+            profile(employees, storage="objects")
+        assert _storage.ACTIVE == before
 
     def test_algorithms_tuple_is_public(self):
         assert set(ALGORITHMS) == {"auto", "muds", "holistic_fun", "baseline"}

@@ -191,23 +191,24 @@ class TestCounterAccounting:
         assert snapshot["delta_reclustered_rows"] > 0
 
     def test_merge_column_advances_delta_in_place(self):
-        values = ("a", "b", "a")
-        delta = ColumnDelta.from_values(values)
+        # Column "a", "b", "a" as codes 0, 1, 0; the batch appends "b"
+        # (code 1) and the new value "c" (code 2).
+        delta = ColumnDelta.from_codes([0, 1, 0], 2)
         pli = PliStore().index_for(
-            Relation.from_rows(["A"], [(v,) for v in values])
+            Relation.from_rows(["A"], [("a",), ("b",), ("a",)])
         ).column_pli(0)
-        codes = delta.encode_batch(["b", "c"])
         merged, perturbed, partners, colliders = merge_column(
-            pli, delta, codes, 3, 5
+            pli, delta, [1, 2], 3, 5
         )
         assert merged.clusters == ((0, 2), (1, 3))
         assert perturbed == {3}
         assert partners == {1}
         # "b" was an old singleton at row 1; "c" is batch-born and has no
         # collider pool.
-        assert colliders == {codes[0]: (1,)}
-        # The delta now knows "c": re-encoding it is stable.
-        assert delta.encode_batch(["c"]) == codes[1:]
+        assert colliders == {1: (1,)}
+        # The delta now counts "c" once, first seen at row 4.
+        assert delta.counts == [2, 2, 1]
+        assert delta.first_rows == [0, 1, 4]
 
 
 class TestFaultContainmentAtAppend:

@@ -179,13 +179,6 @@ class TestNumpyKernel:
             assert pli.refines([9, 9, 9])
             assert KERNEL_STATS.delta(before)["refine_cluster_scans"] == 0
 
-    def test_as_vector_is_int64_array(self):
-        import numpy
-
-        vector = backend_mod.NumpyBackend().as_vector([0, 1, 1, 2])
-        assert isinstance(vector, numpy.ndarray)
-        assert vector.dtype == numpy.int64
-
     def test_probe_accounting_matches_python_semantics(self):
         a = pli_from_column([1, 1, 2, 2, 3, 3])
         b = pli_from_column([1, 2, 1, 2, 1, 2])

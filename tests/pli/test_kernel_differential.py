@@ -8,12 +8,15 @@ workload generators in :mod:`repro.datasets.generators`:
    :func:`repro.pli.legacy_intersect`), and ``refines`` agrees with the
    Lemma-1 cardinality formulation on the same inputs — on *every*
    available kernel backend (python, and numpy when installed) under
-   *every* column-storage mode (objects / encoded / mmap);
+   *every* column-storage mode (encoded / mmap);
 2. TANE, FUN, and MUDS produce identical minimal FDs when all driven
    through one shared :class:`~repro.pli.PliStore`;
 3. the kernel backends and the storage modes are interchangeable:
    identical clusters, identical discovered metadata, and identical
-   kernel counters modulo the backend name itself.
+   kernel counters modulo the backend name itself — and every storage
+   mode's single-column views equal the value-grouping reference
+   (:func:`~repro.pli.pli.pli_from_column` /
+   :func:`~repro.pli.pli.value_vector`).
 """
 
 import itertools
@@ -33,6 +36,7 @@ from repro.pli import (
     numpy_available,
     use_backend,
 )
+from repro.pli.pli import pli_from_column, value_vector
 from repro.relation.encoded import STORAGE_MODES, use_storage
 
 # ~200 randomized relations: 3 generators x seeds x sizes.  Small rows keep
@@ -138,6 +142,14 @@ def _profile_on_backend(backend_name, relation, seed, storage_mode=None):
                 range(relation.n_columns), 2
             )
         }
+        columns = [
+            (
+                index.column_pli(column),
+                [int(code) for code in index.vector(column)],
+                index.distinct_values(column),
+            )
+            for column in range(relation.n_columns)
+        ]
     counters.pop("pli_backend")
     return {
         "tane_fds": sorted(tane_result.fds),
@@ -147,6 +159,7 @@ def _profile_on_backend(backend_name, relation, seed, storage_mode=None):
         "inds": sorted(str(ind) for ind in muds_result.inds),
         "clusters": clusters,
         "pair_clusters": pair_clusters,
+        "columns": columns,
         "counters": counters,
     }
 
@@ -191,29 +204,36 @@ def test_backends_are_interchangeable(factory, rows, cols, seed, storage_mode):
 )
 def test_storage_modes_are_interchangeable(factory, rows, cols, seed, backend_name):
     """The columnar-storage contract: dictionary encoding is a bijective
-    re-labelling, so swapping objects / encoded / mmap storage changes
-    nothing observable — bit-identical clusters, metadata, and kernel
-    counters (not merely modulo a name: the *same* backend must count the
-    same work whichever storage fed it).
+    re-labelling, so every mode's single-column PLI, value vector and
+    distinct-value list equal grouping the column's values directly
+    (the reference :func:`pli_from_column` / :func:`value_vector`), and
+    swapping encoded / mmap storage changes nothing observable —
+    bit-identical clusters, metadata, and kernel counters (not merely
+    modulo a name: the *same* backend must count the same work whichever
+    storage fed it).
 
     Each mode profiles a freshly generated relation (the generators are
     seed-deterministic) because encodings attach to relations in place —
-    reusing one object would let the first mode's sidecar leak into the
-    ``objects`` baseline.
+    reusing one object would let the first mode's sidecar feed the next.
     """
+    relation = factory(rows, n_columns=cols, seed=seed)
+    reference = [
+        (pli_from_column(values), value_vector(values), list(dict.fromkeys(values)))
+        for values in map(relation.column, range(relation.n_columns))
+    ]
     profiles = {
         mode: _profile_on_backend(
             backend_name, factory(rows, n_columns=cols, seed=seed), seed, mode
         )
         for mode in STORAGE_MODES
     }
-    baseline = profiles["objects"]
-    for mode in ("encoded", "mmap"):
-        candidate = profiles[mode]
-        assert candidate["clusters"] == baseline["clusters"], mode
-        assert candidate["pair_clusters"] == baseline["pair_clusters"], mode
-        for key in ("tane_fds", "fun_fds", "muds_fds", "uccs", "inds"):
-            assert candidate[key] == baseline[key], (
-                f"{key} diverged between objects and {mode} storage"
-            )
-        assert candidate["counters"] == baseline["counters"], mode
+    for mode, profile in profiles.items():
+        assert profile["columns"] == reference, mode
+    baseline, candidate = profiles["encoded"], profiles["mmap"]
+    assert candidate["clusters"] == baseline["clusters"]
+    assert candidate["pair_clusters"] == baseline["pair_clusters"]
+    for key in ("tane_fds", "fun_fds", "muds_fds", "uccs", "inds"):
+        assert candidate[key] == baseline[key], (
+            f"{key} diverged between encoded and mmap storage"
+        )
+    assert candidate["counters"] == baseline["counters"]

@@ -236,12 +236,8 @@ class TestBlockBoundaries:
         assert streamed.n_rows == len(rows)
         for index in range(streamed.n_columns):
             mine, theirs = streamed.encoding(index), post_hoc.encoding(index)
-            if mode == "objects":
-                assert mine is None and theirs is None
-                assert streamed.column(index) == post_hoc.column(index)
-            else:
-                assert mine.dictionary == theirs.dictionary
-                assert bytes(mine.codes) == bytes(theirs.codes)
+            assert mine.dictionary == theirs.dictionary
+            assert bytes(mine.codes) == bytes(theirs.codes)
         assert streamed.fingerprint() == post_hoc.fingerprint()
 
     def test_ragged_first_row_of_second_block_reports_its_line(self):

@@ -10,17 +10,16 @@ from array import array
 
 import pytest
 
+from repro.guard import Budget
 from repro.relation import Relation, read_csv, read_csv_text
 from repro.relation import encoded as storage
 from repro.relation.encoded import (
     CODE_BYTES,
     STORAGE_MODES,
-    ColumnEncoder,
     EncodedColumn,
     StorageUnavailable,
     encode_column,
     encode_relation,
-    estimated_bytes_per_clustered_row,
     resolve_storage,
     spill_directory,
     use_storage,
@@ -84,10 +83,6 @@ class TestEncodeRoundTrip:
         assert len(column) == 0
         assert spill_files(spill_dir) == []
 
-    def test_objects_mode_has_no_encoder(self):
-        with pytest.raises(StorageUnavailable):
-            ColumnEncoder(storage="objects")
-
 
 class TestSpillLifecycle:
     def test_spill_file_lives_and_dies_with_the_column(self, spill_dir):
@@ -134,8 +129,10 @@ class TestSpillLifecycle:
 
 class TestModeSelection:
     def test_resolve_rejects_unknown_modes(self):
-        with pytest.raises(StorageUnavailable):
-            resolve_storage("parquet")
+        # "objects" was a storage mode once; it is an unknown name now.
+        for unknown in ("parquet", "objects"):
+            with pytest.raises(StorageUnavailable):
+                resolve_storage(unknown)
         assert resolve_storage(None) == "encoded"
         assert resolve_storage("  MMAP ") == "mmap"
 
@@ -149,19 +146,26 @@ class TestModeSelection:
 
     def test_set_storage_rejects_unknown_and_keeps_armed_mode(self):
         before = storage.ACTIVE
-        with pytest.raises(StorageUnavailable):
-            storage.set_storage("parquet")
-        assert storage.ACTIVE == before
+        for unknown in ("parquet", "objects"):
+            with pytest.raises(StorageUnavailable):
+                storage.set_storage(unknown)
+            assert storage.ACTIVE == before
 
     def test_unusable_environment_value_warns_and_degrades(self, monkeypatch):
-        monkeypatch.setenv(storage.ENV_VAR, "parquet")
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            assert storage._from_environment() == "encoded"
+        for unknown in ("parquet", "objects"):
+            monkeypatch.setenv(storage.ENV_VAR, unknown)
+            with pytest.warns(RuntimeWarning, match="falling back"):
+                assert storage._from_environment() == "encoded"
 
     def test_budget_accounting_follows_storage(self):
-        assert estimated_bytes_per_clustered_row("objects") == 32
-        assert estimated_bytes_per_clustered_row("encoded") == 8
-        assert estimated_bytes_per_clustered_row("mmap") == 8
+        # Both modes feed the kernel the same dense row ids, so a budget
+        # charges the same 8 B per clustered row whichever mode is armed.
+        for mode in STORAGE_MODES:
+            with use_storage(mode):
+                budget = Budget()
+                budget.charge_intersection(10)
+            assert budget.bytes_per_clustered_row == 8, mode
+            assert budget.cluster_bytes == 80, mode
 
 
 CSV = "a,b\n" + "".join(f"{i % 4},{i % 3}\n" for i in range(50))
@@ -203,21 +207,19 @@ class TestFingerprintStreaming:
 
 
 class TestEncodeRelation:
-    def test_objects_mode_is_a_noop(self):
-        with use_storage("objects"):
-            relation = read_csv_text(CSV)
-            assert relation.encoding(0) is None
-            encode_relation(relation)
-            assert relation.encoding(0) is None
-
     def test_sidecar_encoding_for_object_relations(self):
-        with use_storage("objects"):
-            relation = read_csv_text(CSV)
+        relation = Relation.from_dict(
+            {"a": ["x", None, "x", "y"], "b": [1, 2, 1, 1]}
+        )
+        assert relation.encoding(0) is None
         encode_relation(relation, storage="encoded")
         for index in range(relation.n_columns):
             encoding = relation.encoding(index)
             assert encoding is not None
             assert tuple(encoding) == relation.column(index)
+        # The object tuples stay the relation's columns.
+        assert relation.column("a") == ("x", None, "x", "y")
+        assert relation.encoding("a").dictionary == ["x", None, "y"]
 
     def test_projection_carries_encodings(self):
         with use_storage("encoded"):

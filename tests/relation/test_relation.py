@@ -3,7 +3,14 @@
 import pytest
 from hypothesis import given
 
-from repro.relation import Relation, SchemaError
+from repro import profile
+from repro.relation import Relation, SchemaError, read_csv_text
+from repro.relation.encoded import (
+    SPILL_DIR_ENV,
+    STORAGE_MODES,
+    encode_relation,
+    use_storage,
+)
 
 from ..conftest import relations
 
@@ -117,3 +124,70 @@ class TestDunder:
     def test_repr_mentions_shape(self, employees):
         assert "5 columns" in repr(employees)
         assert "5 rows" in repr(employees)
+
+
+class TestProjectionAppendIsolation:
+    """A projection holds its parent's encoded column objects, and
+    appends grow encoded columns in place: an append to either relation
+    must still leave the other one exactly as it was."""
+
+    NAMES = ["a", "b", "c"]
+    ROWS = [("1", "x", "p"), ("2", "y", "p"), ("3", "x", "q"), ("4", "z", None)]
+    BATCH = [("1", "y", "q"), ("5", "x", "r")]
+
+    def _parent(self, source, mode):
+        if source == "csv":
+            text = "a,b,c\n" + "".join(
+                ",".join(value or "" for value in row) + "\n" for row in self.ROWS
+            )
+            return read_csv_text(text)
+        # In-memory object columns with sidecar encodings.
+        return encode_relation(
+            Relation.from_rows(self.NAMES, self.ROWS), storage=mode
+        )
+
+    @staticmethod
+    def _state(relation):
+        encodings = [relation.encoding(i) for i in range(relation.n_columns)]
+        return (
+            relation.n_rows,
+            list(relation.iter_rows()),
+            [len(relation.column(i)) for i in range(relation.n_columns)],
+            [None if e is None else len(e) for e in encodings],
+            relation.fingerprint(),
+        )
+
+    @pytest.mark.parametrize("appender", ["projection", "parent"])
+    @pytest.mark.parametrize("source", ["csv", "memory"])
+    @pytest.mark.parametrize("mode", STORAGE_MODES)
+    def test_append_leaves_the_other_relation_unchanged(
+        self, mode, source, appender, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv(SPILL_DIR_ENV, str(tmp_path))
+        with use_storage(mode):
+            parent = self._parent(source, mode)
+            projection = parent.project(["a", "b"])
+            grown, other = (
+                (projection, parent)
+                if appender == "projection"
+                else (parent, projection)
+            )
+            state = self._state(other)
+            result = profile(other)
+
+            grown.append_rows([row[: grown.n_columns] for row in self.BATCH])
+
+            assert grown.n_rows == len(self.ROWS) + len(self.BATCH)
+            assert self._state(other) == state
+            # The cached fingerprint still describes the rows it holds.
+            rebuilt = Relation.from_rows(other.column_names, other.iter_rows())
+            assert rebuilt.fingerprint() == other.fingerprint()
+            assert profile(other).same_metadata(result)
+            # The appending side sees its own rows, encodings included.
+            assert list(grown.iter_rows())[len(self.ROWS):] == [
+                row[: grown.n_columns] for row in self.BATCH
+            ]
+            assert all(
+                len(grown.encoding(i)) == grown.n_rows
+                for i in range(grown.n_columns)
+            )

@@ -28,13 +28,13 @@ from repro.faults import (
     RESULT_CACHE_GET,
     RESULT_CACHE_PUT,
     FAULTS,
+    chaos_suite_enabled,
 )
 from repro.harness import (
     CheckpointStore,
     ExperimentRunner,
     ResultCache,
     SweepJournal,
-    chaos_suite_enabled,
     default_framework,
 )
 from repro.harness.parallel import (

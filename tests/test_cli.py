@@ -79,6 +79,14 @@ class TestErrors:
         assert main(["--dataset", "nope"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_objects_storage_mode_is_rejected(self, csv_path, capsys):
+        # "encoded" and "mmap" are the storage modes; "objects" is an
+        # unknown choice, which argparse rejects with exit status 2.
+        with pytest.raises(SystemExit) as exit_info:
+            main([str(csv_path), "--storage", "objects"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'objects'" in capsys.readouterr().err
+
 
 class TestDuplicateHandling:
     def test_deduplicates_by_default(self, tmp_path, capsys):

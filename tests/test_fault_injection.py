@@ -25,6 +25,7 @@ from repro.faults import (
     SCHEMA_LOAD,
     STORAGE_SPILL,
     FAULTS,
+    fault_suite_enabled,
 )
 from repro.harness import (
     CheckpointStore,
@@ -32,7 +33,6 @@ from repro.harness import (
     ResultCache,
     SweepJournal,
     default_framework,
-    fault_suite_enabled,
 )
 from repro.relation import Relation, read_csv
 
