@@ -2,8 +2,6 @@
 
 from .ducc import DuccResult, ducc, ducc_on_relation
 from .fun import FunResult, fun, fun_on_relation
-from .gordian import GordianResult, agree_sets, gordian, gordian_on_relation
-from .hca import HcaResult, hca, hca_on_relation
 from .ind_nary import NaryInd, discover_nary_inds
 from .naive import holds_fd, is_unique, naive_fds, naive_inds, naive_uccs
 from .spider import spider, spider_across, spider_on_relation
@@ -13,21 +11,14 @@ from .values import canonical_value
 __all__ = [
     "DuccResult",
     "FunResult",
-    "GordianResult",
-    "HcaResult",
     "NaryInd",
     "TaneResult",
-    "agree_sets",
     "canonical_value",
     "discover_nary_inds",
     "ducc",
     "ducc_on_relation",
     "fun",
     "fun_on_relation",
-    "gordian",
-    "gordian_on_relation",
-    "hca",
-    "hca_on_relation",
     "holds_fd",
     "is_unique",
     "naive_fds",

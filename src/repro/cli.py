@@ -44,20 +44,22 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 from collections.abc import Sequence
 
 from . import trace as _trace
 from .checkpointing import active_session
 from .core.profiler import ALGORITHMS, choose_algorithm, profile
-from .pli import backend as _pli_backend
-from .relation import encoded as _storage
 from .core.statistics import profile_statistics
 from .guard import Budget, BudgetExceeded, guarded
 from .harness.checkpoint import CheckpointStore
+from .harness.framework import Execution, Framework
 from .harness.result_cache import DEFAULT_CACHE_DIR, ResultCache
 from .harness.signals import EXIT_INTERRUPTED, Interrupted, graceful_shutdown
 from .metadata.results import ProfilingResult
-from .metadata.serialize import dumps, result_from_dict, result_to_dict
+from .metadata.serialize import dumps
+from .pli import backend as _pli_backend
+from .relation import encoded as _storage
 from .relation.csv_io import read_csv
 from .relation.relation import Relation
 
@@ -73,59 +75,78 @@ __all__ = [
 ]
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description=(
-            "Holistic data profiling: discover unary INDs, minimal UCCs, "
-            "and minimal FDs of a relation in one pass (EDBT 2016 "
-            "reproduction)."
-        ),
-    )
-    source = parser.add_mutually_exclusive_group(required=True)
-    source.add_argument("csv", nargs="?", help="path to a CSV file")
-    source.add_argument(
-        "--dataset",
-        help="profile a built-in dataset instead (e.g. bridges, iris)",
-    )
-    parser.add_argument(
-        "--algorithm",
-        choices=ALGORITHMS,
-        default="auto",
-        help="profiling algorithm (default: the paper's §6.5 heuristic)",
-    )
-    parser.add_argument("--seed", type=int, default=0, help="random-walk seed")
-    parser.add_argument(
-        "--as-published",
-        action="store_true",
-        help="run MUDS exactly as published (skip the completeness walk)",
-    )
+# -- option groups -----------------------------------------------------------
+#
+# Every option is defined once, in the group that owns it; each parser
+# picks the groups it takes.
+
+#: Smallest accepted value of each numeric option (by ``dest``).
+#: :func:`_parse` rejects anything below it before any input is read.
+_MINIMUM = {
+    "jobs": 1,
+    "max_rows": 0,
+    "deadline": 0,
+    "max_intersections": 0,
+    "max_cluster_bytes": 0,
+    "max_fk": 0,
+    "interval": 0,
+    "max_batches": 1,
+}
+
+
+def _input_options(
+    parser: argparse.ArgumentParser, directory: str | None = None
+) -> None:
+    """CSV dialect, plus the ``directory`` positional when it has help."""
+    if directory is not None:
+        parser.add_argument("directory", help=directory)
     parser.add_argument("--delimiter", default=",", help="CSV field separator")
     parser.add_argument(
         "--no-header",
         action="store_true",
-        help="CSV has no header row (columns become column_0..n)",
+        help="CSV input has no header row (columns become column_0..n)",
     )
+
+
+def _algorithm_options(parser: argparse.ArgumentParser, algorithm: str) -> None:
+    """Algorithm choice, walk seed, and the sampling switch."""
     parser.add_argument(
-        "--max-rows", type=int, default=None, help="profile only the first N rows"
+        "--algorithm", choices=ALGORITHMS, default="auto", help=algorithm
     )
-    parser.add_argument(
-        "--keep-duplicates",
+    parser.add_argument("--seed", type=int, default=0, help="random-walk seed")
+    sampling = parser.add_mutually_exclusive_group()
+    sampling.add_argument(
+        "--sampling",
+        dest="sampling",
         action="store_true",
-        help="skip the duplicate-row preprocessing step (§3)",
+        default=True,
+        help="enable the sampling-driven refutation engine (default): "
+        "candidates refuted by a small row sample skip their exact PLI "
+        "check; sampling only refutes, never accepts, so results are "
+        "exact either way",
     )
-    parser.add_argument(
-        "--stats",
-        action="store_true",
-        help="also print per-column statistics",
+    sampling.add_argument(
+        "--no-sampling",
+        dest="sampling",
+        action="store_false",
+        help="disable sample-based refutation; every candidate is "
+        "validated on the exact PLI path",
     )
+
+
+def _jobs_option(parser: argparse.ArgumentParser, help: str) -> None:
+    parser.add_argument("--jobs", type=int, default=1, metavar="N", help=help)
+
+
+def _budget_options(parser: argparse.ArgumentParser) -> None:
+    """Execution budget (per execution); see :func:`_budget`."""
     parser.add_argument(
         "--deadline",
         type=float,
         default=None,
         metavar="SECONDS",
-        help="wall-clock budget; on expiry print the partial results "
-        "discovered so far and exit with code 3 (TL)",
+        help="wall-clock budget; on expiry the partial results discovered "
+        "so far are reported as TL and the exit code is 3",
     )
     parser.add_argument(
         "--max-intersections",
@@ -141,15 +162,10 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="BYTES",
         help="estimated PLI cluster-memory budget; exceeded counts as ML",
     )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for the baseline algorithm's three "
-        "independent tasks (SPIDER, DUCC, FUN); the holistic algorithms "
-        "are single search processes and run with one",
-    )
+
+
+def _substrate_options(parser: argparse.ArgumentParser) -> None:
+    """PLI kernel backend and column-storage mode (armed by :func:`_parse`)."""
     parser.add_argument(
         "--pli-backend",
         choices=("python", "numpy"),
@@ -170,24 +186,16 @@ def build_parser() -> argparse.ArgumentParser:
         "bounded footprint). Results are bit-identical in both modes. "
         "Defaults to $REPRO_STORAGE, or 'encoded' when unset",
     )
-    sampling_group = parser.add_mutually_exclusive_group()
-    sampling_group.add_argument(
-        "--sampling",
-        dest="sampling",
-        action="store_true",
-        default=True,
-        help="enable the sampling-driven refutation engine (default): "
-        "candidates refuted by a small row sample skip their exact PLI "
-        "check; sampling only refutes, never accepts, so results are "
-        "exact either way",
-    )
-    sampling_group.add_argument(
-        "--no-sampling",
-        dest="sampling",
-        action="store_false",
-        help="disable sample-based refutation; every candidate is "
-        "validated on the exact PLI path",
-    )
+
+
+def _checkpoint_option(parser: argparse.ArgumentParser, help: str) -> None:
+    parser.add_argument("--checkpoint-dir", metavar="DIR", default=None, help=help)
+
+
+def _result_cache_options(
+    parser: argparse.ArgumentParser, switch: bool = True
+) -> None:
+    """Result-cache directory, plus ``--no-result-cache`` when ``switch``."""
     parser.add_argument(
         "--result-cache",
         metavar="DIR",
@@ -197,30 +205,217 @@ def build_parser() -> argparse.ArgumentParser:
         "already-profiled inputs are answered from disk instead of "
         "recomputed",
     )
-    parser.add_argument(
-        "--no-result-cache",
-        action="store_true",
-        help="always recompute; neither read nor write the result cache",
-    )
-    parser.add_argument(
-        "--checkpoint-dir",
-        metavar="DIR",
-        default=None,
-        help="snapshot the traversal state at level/phase boundaries into "
-        "DIR and resume from the last completed boundary when an earlier "
-        "run of the same input/configuration was killed, interrupted, or "
-        "budget-stopped (default: $REPRO_CHECKPOINT_DIR; checkpointing is "
-        "off when neither is set). Results are bit-identical to an "
-        "undisturbed run",
-    )
+    if switch:
+        parser.add_argument(
+            "--no-result-cache",
+            action="store_true",
+            help="always recompute; neither read nor write the result cache",
+        )
+
+
+def _output_options(parser: argparse.ArgumentParser, json: str) -> None:
+    """Trace file and JSON document."""
     parser.add_argument(
         "--trace",
         metavar="PATH",
         default=None,
-        help="record a structured per-phase trace of the run and write it "
-        "as JSONL to PATH (one event per line; see docs/trace_schema.json). "
+        help="record a structured trace of the run and write it as JSONL "
+        "to PATH (one event per line; see docs/trace_schema.json). "
         "Defaults to $REPRO_TRACE when that holds a path; tracing is off "
         "otherwise",
+    )
+    parser.add_argument("--json", metavar="PATH", help=json)
+
+
+# -- plumbing shared by the subcommands --------------------------------------
+
+
+def _parse(
+    parser: argparse.ArgumentParser, argv: Sequence[str]
+) -> argparse.Namespace | None:
+    """Parse ``argv`` and settle what must hold before any input is read.
+
+    Rejects a numeric option below its :data:`_MINIMUM` and arms the
+    requested PLI kernel backend and storage mode process-wide, so an
+    unusable request fails the run up front instead of silently
+    profiling on another kernel (and a CSV read streams straight into
+    the requested representation).  A failure prints an ``error:`` line
+    and returns ``None``: the caller exits with status 2.
+    """
+    args = parser.parse_args(argv)
+    try:
+        for dest, minimum in _MINIMUM.items():
+            value = getattr(args, dest, None)
+            if value is not None and value < minimum:
+                flag = "--" + dest.replace("_", "-")
+                raise ValueError(f"{flag} must be >= {minimum}, got {value}")
+        if getattr(args, "pli_backend", None) is not None:
+            _pli_backend.set_backend(args.pli_backend)
+        if getattr(args, "storage", None) is not None:
+            _storage.set_storage(args.storage)
+    except (
+        ValueError,
+        _pli_backend.BackendUnavailable,
+        _storage.StorageUnavailable,
+    ) as error:
+        print(f"error: {error}", file=sys.stderr)
+        return None
+    return args
+
+
+def _budget(args: argparse.Namespace) -> Budget | None:
+    """The run's :class:`Budget`, or ``None`` when no budget flag is set."""
+    if (
+        args.deadline is None
+        and args.max_intersections is None
+        and args.max_cluster_bytes is None
+    ):
+        return None
+    return Budget(
+        deadline_seconds=args.deadline,
+        max_intersections=args.max_intersections,
+        max_cluster_bytes=args.max_cluster_bytes,
+    )
+
+
+def _cache_root(args: argparse.Namespace) -> str:
+    return (
+        args.result_cache
+        or os.environ.get("REPRO_RESULT_CACHE_DIR")
+        or DEFAULT_CACHE_DIR
+    )
+
+
+def _checkpoint_dir(args: argparse.Namespace) -> str | None:
+    """``--checkpoint-dir``, else ``$REPRO_CHECKPOINT_DIR``; ``None``: off."""
+    return args.checkpoint_dir or os.environ.get("REPRO_CHECKPOINT_DIR")
+
+
+def _start_trace(args: argparse.Namespace):
+    """``(tracer, path)`` of this run, brought up before any work so the
+    trace covers all of it.  ``$REPRO_TRACE`` already enabled the tracer
+    at import time; ``--trace`` enables it (freshly) and fixes the path.
+    """
+    path = args.trace or _trace.env_trace_path()
+    return (_trace.enable() if args.trace else _trace.ACTIVE), path
+
+
+def _write_trace(tracer, path: str | None, summary: bool = False) -> None:
+    """Write the trace as JSONL; with ``summary`` print the per-phase table."""
+    if tracer is None or path is None:
+        return
+    try:
+        written = _trace.write_jsonl(tracer.events, path)
+    except OSError as error:
+        print(f"warning: trace write failed: {error}", file=sys.stderr)
+        return
+    print(f"trace written to {path} ({written} events)", file=sys.stderr)
+    phases = _trace.trace_summary(tracer.events) if summary else {}
+    if phases:
+        print("\nper-phase trace summary:")
+        print(f"  {'phase':32s} {'count':>6s} {'seconds':>10s} {'self':>10s}")
+        for phase, entry in sorted(
+            phases.items(), key=lambda item: -item[1]["self_seconds"]
+        ):
+            print(
+                f"  {phase:32s} {entry['count']:6d} "
+                f"{entry['seconds']:10.4f} {entry['self_seconds']:10.4f}"
+            )
+
+
+def _write_json(path: str, payload: str, noun: str | None = None) -> None:
+    """Write a JSON document to ``path`` (``-``: stdout).
+
+    The document goes to a temporary file in the same directory that then
+    replaces ``path`` in one rename, so a reader polling ``path`` (``repro
+    watch`` rewrites it after every update) sees the previous document or
+    the new one, never an empty or partial one.  With ``noun``, say where
+    the document went.
+    """
+    if path == "-":
+        print(payload)
+        return
+    temporary = f"{path}.tmp-{os.getpid()}"
+    try:
+        with open(temporary, "w", encoding="utf-8") as handle:
+            handle.write(payload + "\n")
+        os.replace(temporary, path)
+    finally:
+        if os.path.exists(temporary):
+            os.unlink(temporary)
+    if noun is not None:
+        print(f"{noun} written to {path}")
+
+
+def _interrupted(error: Interrupted, kept: str | None = None) -> int:
+    """Report a graceful shutdown and return its exit status.
+
+    The journal/checkpoint ``finally`` blocks have already flushed;
+    ``kept`` says what survives for the next run.
+    """
+    print(f"{error}; stopping cleanly", file=sys.stderr)
+    if kept:
+        print(kept, file=sys.stderr)
+    return EXIT_INTERRUPTED
+
+
+# -- repro CSV / --dataset ----------------------------------------------------
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description=(
+            "Holistic data profiling: discover unary INDs, minimal UCCs, "
+            "and minimal FDs of a relation in one pass (EDBT 2016 "
+            "reproduction)."
+        ),
+    )
+    source = parser.add_mutually_exclusive_group(required=True)
+    source.add_argument("csv", nargs="?", help="path to a CSV file")
+    source.add_argument(
+        "--dataset",
+        help="profile a built-in dataset instead (e.g. bridges, iris)",
+    )
+    _input_options(parser)
+    parser.add_argument(
+        "--max-rows", type=int, default=None, help="profile only the first N rows"
+    )
+    parser.add_argument(
+        "--keep-duplicates",
+        action="store_true",
+        help="skip the duplicate-row preprocessing step (§3)",
+    )
+    _algorithm_options(
+        parser, "profiling algorithm (default: the paper's §6.5 heuristic)"
+    )
+    parser.add_argument(
+        "--as-published",
+        action="store_true",
+        help="run MUDS exactly as published (skip the completeness walk)",
+    )
+    parser.add_argument(
+        "--stats",
+        action="store_true",
+        help="also print per-column statistics",
+    )
+    _budget_options(parser)
+    _jobs_option(
+        parser,
+        "worker processes for the baseline algorithm's three independent "
+        "tasks (SPIDER, DUCC, FUN); the holistic algorithms are single "
+        "search processes and run with one",
+    )
+    _substrate_options(parser)
+    _result_cache_options(parser)
+    _checkpoint_option(
+        parser,
+        "snapshot the traversal state at level/phase boundaries into DIR "
+        "and resume from the last completed boundary when an earlier run "
+        "of the same input/configuration was killed, interrupted, or "
+        "budget-stopped (default: $REPRO_CHECKPOINT_DIR; checkpointing is "
+        "off when neither is set). Results are bit-identical to an "
+        "undisturbed run",
     )
     parser.add_argument(
         "--append",
@@ -234,11 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
         "grown relation's fingerprint with a parent_fingerprint link back "
         "to the pre-append entry (see 'repro cache ls')",
     )
-    parser.add_argument(
-        "--json",
-        metavar="PATH",
-        help="write the result as JSON (use '-' for stdout)",
-    )
+    _output_options(parser, "write the result as JSON (use '-' for stdout)")
     return parser
 
 
@@ -286,21 +477,31 @@ def _print_text_report(result, stats_lines: list[str]) -> None:
         print(line)
 
 
-def _open_result_cache(args: argparse.Namespace, budget: Budget | None):
-    """Resolve the CLI's result cache (or ``None`` when disabled).
+class _Profiler:
+    """The profiler :func:`main` registers in its :class:`Framework`.
 
-    Budgeted runs bypass the cache: a TL/ML partial is a property of the
-    budget, not the input, and must never be served — or stored — as the
-    input's profile.
+    It runs :func:`profile`; under ``--append`` it runs the incremental
+    profiler's base profile instead, whose PLI store then stays warm:
+    the maintenance phase delta-merges into the very substrate the base
+    profile built instead of rebuilding it.
     """
-    if args.no_result_cache or budget is not None:
-        return None
-    root = (
-        args.result_cache
-        or os.environ.get("REPRO_RESULT_CACHE_DIR")
-        or DEFAULT_CACHE_DIR
-    )
-    return ResultCache(root)
+
+    def __init__(self, args: argparse.Namespace, algorithm: str, incremental):
+        self.args = args
+        self.algorithm = algorithm
+        self.incremental = incremental
+
+    def profile(self, relation: Relation) -> ProfilingResult:
+        if self.incremental is not None:
+            return self.incremental.profile_base(relation)
+        return profile(
+            relation,
+            algorithm=self.algorithm,
+            seed=self.args.seed,
+            verify_completeness=not self.args.as_published,
+            jobs=self.args.jobs,
+            sampling=self.args.sampling,
+        )
 
 
 def _apply_appends(
@@ -309,72 +510,265 @@ def _apply_appends(
     relation: Relation,
     result: ProfilingResult,
     algorithm: str,
-    cache,
+    budget: Budget | None,
+    cache: ResultCache | None,
     cache_config: dict,
     checkpoint_dir: str | None,
-) -> ProfilingResult:
-    """Fold each ``--append`` batch into the profiled relation in order.
+) -> tuple[ProfilingResult, int]:
+    """Fold each ``--append`` batch into the profiled relation in order;
+    returns the latest result and the exit status (3 when the budget ran
+    out, with the result of the last finished batch).
 
     Every batch advances the fingerprint chain: the maintained result is
-    cached under the grown relation's fingerprint with a
-    ``parent_fingerprint`` link to the pre-append entry, so a later plain
-    run over the combined data answers from cache, and ``repro cache ls``
-    can render the chain.  Checkpoint sessions are keyed per batch by
-    ``(parent fingerprint, "incremental", config + batch fingerprint)`` —
-    a maintenance run killed mid-re-validation resumes exactly.
+    cached — as the execution record :meth:`Framework.run` stores —
+    under the grown relation's fingerprint with a ``parent_fingerprint``
+    link to the pre-append entry, so a later plain run over the combined
+    data answers from cache, and ``repro cache ls`` can render the chain.
+    Checkpoint sessions are keyed per batch by ``(parent fingerprint,
+    "incremental", config + batch fingerprint)`` — a maintenance run
+    killed mid-re-validation resumes exactly.
     """
-    for batch_path in args.append:
-        batch = read_csv(
-            batch_path, delimiter=args.delimiter, has_header=not args.no_header
-        )
-        if batch.column_names != relation.column_names:
-            raise ValueError(
-                f"append batch {batch_path} columns {batch.column_names} "
-                f"do not match the base schema {relation.column_names}"
-            )
-        parent = relation.fingerprint()
-        session = None
-        if checkpoint_dir:
-            session = CheckpointStore(checkpoint_dir).session(
-                parent,
-                "incremental",
-                {**cache_config, "batch": batch.fingerprint()},
-            )
-            if session.load():
+    try:
+        with guarded(budget):
+            for batch_path in args.append:
+                batch = read_csv(
+                    batch_path,
+                    delimiter=args.delimiter,
+                    has_header=not args.no_header,
+                )
+                if batch.column_names != relation.column_names:
+                    raise ValueError(
+                        f"append batch {batch_path} columns "
+                        f"{batch.column_names} do not match the base schema "
+                        f"{relation.column_names}"
+                    )
+                parent = relation.fingerprint()
+                session = None
+                if checkpoint_dir:
+                    session = CheckpointStore(checkpoint_dir).session(
+                        parent,
+                        "incremental",
+                        {**cache_config, "batch": batch.fingerprint()},
+                    )
+                    if session.load():
+                        print(
+                            f"resuming incremental maintenance of {batch_path} "
+                            f"from checkpoint in {checkpoint_dir}",
+                            file=sys.stderr,
+                        )
+                started = time.perf_counter()
+                with active_session(session):
+                    result = profiler.maintain(
+                        relation, list(batch.iter_rows()), result
+                    )
+                seconds = time.perf_counter() - started
+                if session is not None:
+                    session.complete()
+                grown = relation.fingerprint()
+                if cache is not None and grown != parent:
+                    record = Execution(
+                        algorithm=algorithm,
+                        dataset=relation.name,
+                        n_columns=relation.n_columns,
+                        n_rows=relation.n_rows,
+                        seconds=seconds,
+                        result=result,
+                    ).to_record()
+                    try:
+                        cache.put(
+                            grown,
+                            algorithm,
+                            record,
+                            cache_config,
+                            parent_fingerprint=parent,
+                        )
+                    except OSError as error:
+                        print(
+                            f"warning: result cache write failed: {error}",
+                            file=sys.stderr,
+                        )
                 print(
-                    f"resuming incremental maintenance of {batch_path} "
-                    f"from checkpoint in {checkpoint_dir}",
+                    f"appended {batch_path} ({batch.n_rows} rows): fingerprint "
+                    f"{parent[:12]}... -> {grown[:12]}...",
                     file=sys.stderr,
                 )
-        with active_session(session):
-            result = profiler.maintain(
-                relation, list(batch.iter_rows()), result
-            )
-        if session is not None:
-            session.complete()
-        grown = relation.fingerprint()
-        if cache is not None and grown != parent:
-            from .metadata.serialize import result_to_dict as _to_dict
-
-            try:
-                cache.put(
-                    grown,
-                    algorithm,
-                    _to_dict(result),
-                    cache_config,
-                    parent_fingerprint=parent,
-                )
-            except OSError as error:
-                print(
-                    f"warning: result cache write failed: {error}",
-                    file=sys.stderr,
-                )
+    except BudgetExceeded as error:
+        marker = "ML" if error.reason == "memory" else "TL"
         print(
-            f"appended {batch_path} ({batch.n_rows} rows): fingerprint "
-            f"{parent[:12]}... -> {grown[:12]}...",
+            f"warning [{marker}]: budget exhausted during incremental "
+            f"maintenance ({error}); results below predate the unfinished "
+            "batch",
             file=sys.stderr,
         )
-    return result
+        return result, 3
+    return result, 0
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    """CLI entry point; returns a process exit code."""
+    arguments = list(sys.argv[1:] if argv is None else argv)
+    # Subcommands are dispatched before the single-relation parser: the
+    # legacy CLI keeps its subcommand-free grammar (a bare CSV positional).
+    subcommands = {
+        "profile-schema": schema_main,
+        "watch": watch_main,
+        "cache": cache_main,
+    }
+    if arguments and arguments[0] in subcommands:
+        return subcommands[arguments[0]](arguments[1:])
+    args = _parse(build_parser(), arguments)
+    if args is None:
+        return 2
+    tracer, trace_path = _start_trace(args)
+    try:
+        relation = _load(args)
+    except (OSError, KeyError, ValueError) as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+
+    budget = _budget(args)
+    # Resolve "auto" up front so the cache is keyed by the algorithm that
+    # actually runs (the §6.5 heuristic depends only on the column count,
+    # which the fingerprint covers).
+    algorithm = args.algorithm
+    if algorithm == "auto":
+        algorithm = choose_algorithm(relation)
+    # Budgeted runs bypass the cache: a TL/ML partial is a property of the
+    # budget, not the input, and must never be served — or stored — as the
+    # input's profile.  That holds for --append batches too.
+    cache = (
+        None
+        if args.no_result_cache or budget is not None
+        else ResultCache(_cache_root(args))
+    )
+    # ``sampling`` and ``pli_backend`` are part of the key for counter
+    # transparency only — discovered metadata is exact (thus identical)
+    # in all modes.
+    cache_config = {
+        "seed": args.seed,
+        "as_published": args.as_published,
+        "sampling": args.sampling,
+        "pli_backend": _pli_backend.ACTIVE.name,
+        "storage": _storage.ACTIVE,
+    }
+    checkpoint_dir = _checkpoint_dir(args)
+    incremental = None
+    if args.append:
+        from .incremental import IncrementalProfiler
+
+        incremental = IncrementalProfiler(
+            algorithm=algorithm,
+            seed=args.seed,
+            verify_completeness=not args.as_published,
+            jobs=args.jobs,
+            sampling=args.sampling,
+        )
+    framework = Framework()
+    framework.register(algorithm, lambda: _Profiler(args, algorithm, incremental))
+    try:
+        with graceful_shutdown():
+            # The checkpoint session is keyed exactly like the result
+            # cache, so a resume only restores state produced by an
+            # identical (input, algorithm, config) run.
+            execution = framework.run(
+                algorithm,
+                relation,
+                budget=budget,
+                cache=cache,
+                cache_config=cache_config,
+                checkpoints=(
+                    CheckpointStore(checkpoint_dir) if checkpoint_dir else None
+                ),
+            )
+    except Interrupted as error:
+        return _interrupted(
+            error,
+            checkpoint_dir
+            and "checkpoint kept; re-running the same command resumes from "
+            "the last completed boundary",
+        )
+    if execution.cached:
+        print(
+            f"result cache hit for {algorithm} "
+            f"(fingerprint {relation.fingerprint()[:12]}...)",
+            file=sys.stderr,
+        )
+    if execution.resumed:
+        print(
+            f"resuming {algorithm} from checkpoint in {checkpoint_dir}",
+            file=sys.stderr,
+        )
+    if execution.status == "error":
+        print(f"error: {execution.error}", file=sys.stderr)
+        return 1
+    exit_code = 0
+    if not execution.ok:
+        # Graceful degradation (Metanome's TL/ML cells): report whatever
+        # the stopped algorithm had discovered, but exit non-zero so
+        # scripts can tell a partial profile from a complete one.
+        print(
+            f"warning [{execution.marker}]: budget exhausted "
+            f"({execution.error}); results below are partial",
+            file=sys.stderr,
+        )
+        if checkpoint_dir:
+            # The snapshot survives: re-running without the budget resumes
+            # from the last completed boundary.
+            print(
+                f"checkpoint kept; re-run with --checkpoint-dir "
+                f"{checkpoint_dir} to continue",
+                file=sys.stderr,
+            )
+        exit_code = 3
+    elif cache is not None and not execution.cached and not cache.puts:
+        print("warning: result cache write failed", file=sys.stderr)
+    result = execution.result
+
+    if incremental is not None and exit_code == 0:
+        try:
+            with graceful_shutdown():
+                result, exit_code = _apply_appends(
+                    args,
+                    incremental,
+                    relation,
+                    result,
+                    algorithm,
+                    budget,
+                    cache,
+                    cache_config,
+                    checkpoint_dir,
+                )
+        except (OSError, ValueError) as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 2
+        except Interrupted as error:
+            return _interrupted(
+                error,
+                checkpoint_dir
+                and "checkpoint kept; re-running the same command resumes "
+                "the unfinished batch from the last completed phase",
+            )
+
+    stats_lines: list[str] = []
+    if args.stats:
+        stats_lines.append("\nper-column statistics:")
+        for stat in profile_statistics(relation):
+            stats_lines.append(
+                f"  {stat.name:24s} distinct={stat.distinct_count:<8d} "
+                f"nulls={stat.null_count:<6d} unique={str(stat.is_unique):5s} "
+                f"top={stat.top_value!r} x{stat.top_frequency}"
+            )
+    if args.json:
+        _write_json(args.json, dumps(result), "result")
+        for line in stats_lines:
+            print(line)
+    else:
+        _print_text_report(result, stats_lines)
+    _write_trace(tracer, trace_path, summary=True)
+    return exit_code
+
+
+# -- repro profile-schema DIR --------------------------------------------------
 
 
 def build_schema_parser() -> argparse.ArgumentParser:
@@ -384,80 +778,28 @@ def build_schema_parser() -> argparse.ArgumentParser:
             "Profile a directory of CSV tables as one schema job: "
             "per-table FDs/UCCs/unary INDs, fingerprint dedup of "
             "content-identical tables, cross-table INDs via one SPIDER "
-            "merge over the union of all columns, and ranked foreign-key "
-            "candidates."
+            "merge over the union of all columns (the sampling engine's "
+            "value probes prefilter it), and ranked foreign-key "
+            "candidates.  Budgets bound each table's execution and the "
+            "cross-table merge; budget-stopped phases become TL/ML "
+            "entries in the catalog."
         ),
     )
-    parser.add_argument(
-        "directory", help="schema root; every *.csv below it is one table"
+    _input_options(parser, "schema root; every *.csv below it is one table")
+    _jobs_option(
+        parser,
+        "worker processes for the per-table profiling sweep (default: 1, "
+        "serial)",
     )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for the per-table profiling sweep "
-        "(default: 1, serial)",
+    _algorithm_options(
+        parser, "per-table algorithm (default: the §6.5 heuristic per table)"
     )
-    parser.add_argument(
-        "--algorithm",
-        choices=ALGORITHMS,
-        default="auto",
-        help="per-table algorithm (default: the §6.5 heuristic per table)",
-    )
-    parser.add_argument("--seed", type=int, default=0, help="random-walk seed")
-    parser.add_argument("--delimiter", default=",", help="CSV field separator")
-    parser.add_argument(
-        "--no-header",
-        action="store_true",
-        help="CSVs have no header row (columns become column_0..n)",
-    )
-    sampling_group = parser.add_mutually_exclusive_group()
-    sampling_group.add_argument(
-        "--sampling",
-        dest="sampling",
-        action="store_true",
-        default=True,
-        help="enable the sampling-driven refutation engine (default); "
-        "the cross-table merge reuses its value probes as a prefilter",
-    )
-    sampling_group.add_argument(
-        "--no-sampling",
-        dest="sampling",
-        action="store_false",
-        help="disable sample-based refutation (results identical, slower)",
-    )
-    parser.add_argument(
-        "--deadline",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="wall-clock budget per table execution and for the "
-        "cross-table merge; exceeded phases become TL entries in the "
-        "catalog and the exit code is 3",
-    )
-    parser.add_argument(
-        "--max-intersections",
-        type=int,
-        default=None,
-        metavar="N",
-        help="PLI-intersection work budget (per execution); exceeded "
-        "counts as TL",
-    )
-    parser.add_argument(
-        "--max-cluster-bytes",
-        type=int,
-        default=None,
-        metavar="BYTES",
-        help="estimated PLI cluster-memory budget; exceeded counts as ML",
-    )
-    parser.add_argument(
-        "--checkpoint-dir",
-        metavar="DIR",
-        default=None,
-        help="journal every finished table and snapshot traversal/merge "
-        "state into DIR; re-running the same command after a kill resumes "
-        "at table granularity with a bit-identical catalog (default: "
+    _budget_options(parser)
+    _checkpoint_option(
+        parser,
+        "journal every finished table and snapshot traversal/merge state "
+        "into DIR; re-running the same command after a kill resumes at "
+        "table granularity with a bit-identical catalog (default: "
         "$REPRO_CHECKPOINT_DIR; off when neither is set)",
     )
     parser.add_argument(
@@ -472,18 +814,7 @@ def build_schema_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="report only the top-N foreign-key candidates",
     )
-    parser.add_argument(
-        "--trace",
-        metavar="PATH",
-        default=None,
-        help="record a structured trace of the schema job as JSONL "
-        "(schema.* spans/counters; see docs/trace_schema.json)",
-    )
-    parser.add_argument(
-        "--json",
-        metavar="PATH",
-        help="write the catalog as JSON (use '-' for stdout)",
-    )
+    _output_options(parser, "write the catalog as JSON (use '-' for stdout)")
     return parser
 
 
@@ -521,41 +852,26 @@ def _print_catalog_report(catalog) -> None:
 
 def schema_main(argv: Sequence[str]) -> int:
     """``repro profile-schema`` entry point; returns a process exit code."""
-    from .harness.signals import graceful_shutdown as _graceful
     from .metadata.serialize import catalog_dumps
     from .schema import profile_schema
 
-    args = build_schema_parser().parse_args(argv)
-    if args.jobs < 1:
-        print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
+    args = _parse(build_schema_parser(), argv)
+    if args is None:
         return 2
-    budget = None
-    if (
-        args.deadline is not None
-        or args.max_intersections is not None
-        or args.max_cluster_bytes is not None
-    ):
-        budget = Budget(
-            deadline_seconds=args.deadline,
-            max_intersections=args.max_intersections,
-            max_cluster_bytes=args.max_cluster_bytes,
-        )
-    checkpoint_dir = args.checkpoint_dir or os.environ.get(
-        "REPRO_CHECKPOINT_DIR"
-    )
-    checkpoints = CheckpointStore(checkpoint_dir) if checkpoint_dir else None
-    trace_path = args.trace or _trace.env_trace_path()
-    tracer = _trace.enable() if args.trace else _trace.ACTIVE
+    checkpoint_dir = _checkpoint_dir(args)
+    tracer, trace_path = _start_trace(args)
     try:
-        with _graceful():
+        with graceful_shutdown():
             catalog = profile_schema(
                 args.directory,
                 jobs=args.jobs,
                 algorithm=args.algorithm,
                 seed=args.seed,
                 sampling=args.sampling,
-                budget=budget,
-                checkpoints=checkpoints,
+                budget=_budget(args),
+                checkpoints=(
+                    CheckpointStore(checkpoint_dir) if checkpoint_dir else None
+                ),
                 resume=not args.no_resume,
                 delimiter=args.delimiter,
                 has_header=not args.no_header,
@@ -565,36 +881,18 @@ def schema_main(argv: Sequence[str]) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
     except Interrupted as error:
-        print(f"{error}; stopping cleanly", file=sys.stderr)
-        if checkpoints is not None:
-            print(
-                "journal and checkpoints kept; re-running the same command "
-                "resumes at table granularity",
-                file=sys.stderr,
-            )
-        return EXIT_INTERRUPTED
+        return _interrupted(
+            error,
+            checkpoint_dir
+            and "journal and checkpoints kept; re-running the same command "
+            "resumes at table granularity",
+        )
 
     if args.json:
-        payload = catalog_dumps(catalog)
-        if args.json == "-":
-            print(payload)
-        else:
-            with open(args.json, "w", encoding="utf-8") as handle:
-                handle.write(payload + "\n")
-            print(f"catalog written to {args.json}")
+        _write_json(args.json, catalog_dumps(catalog), "catalog")
     else:
         _print_catalog_report(catalog)
-
-    if tracer is not None and trace_path is not None:
-        try:
-            written = _trace.write_jsonl(tracer.events, trace_path)
-        except OSError as error:
-            print(f"warning: trace write failed: {error}", file=sys.stderr)
-        else:
-            print(
-                f"trace written to {trace_path} ({written} events)",
-                file=sys.stderr,
-            )
+    _write_trace(tracer, trace_path)
 
     statuses = {table.status for table in catalog.tables} | {catalog.status}
     if statuses & {"timeout", "memory"}:
@@ -609,6 +907,9 @@ def schema_main(argv: Sequence[str]) -> int:
     return 0
 
 
+# -- repro watch DIR ------------------------------------------------------------
+
+
 def build_watch_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro watch",
@@ -619,21 +920,9 @@ def build_watch_parser() -> argparse.ArgumentParser:
             "and the profile is incrementally maintained at delta cost."
         ),
     )
-    parser.add_argument(
-        "directory", help="watched directory; every *.csv in it is a batch"
-    )
-    parser.add_argument(
-        "--algorithm",
-        choices=ALGORITHMS,
-        default="auto",
-        help="profiling algorithm for the base profile (default: auto)",
-    )
-    parser.add_argument("--seed", type=int, default=0, help="random-walk seed")
-    parser.add_argument("--delimiter", default=",", help="CSV field separator")
-    parser.add_argument(
-        "--no-header",
-        action="store_true",
-        help="CSVs have no header row (columns become column_0..n)",
+    _input_options(parser, "watched directory; every *.csv in it is a batch")
+    _algorithm_options(
+        parser, "profiling algorithm for the base profile (default: auto)"
     )
     parser.add_argument(
         "--interval",
@@ -655,38 +944,9 @@ def build_watch_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="stop after N files have been consumed",
     )
-    sampling_group = parser.add_mutually_exclusive_group()
-    sampling_group.add_argument(
-        "--sampling", dest="sampling", action="store_true", default=True,
-        help="enable the sampling-driven refutation engine (default)",
-    )
-    sampling_group.add_argument(
-        "--no-sampling", dest="sampling", action="store_false",
-        help="disable sample-based refutation (results identical, slower)",
-    )
-    parser.add_argument(
-        "--pli-backend",
-        choices=("python", "numpy"),
-        default=None,
-        help="PLI kernel backend (default: $REPRO_PLI_BACKEND or python)",
-    )
-    parser.add_argument(
-        "--storage",
-        choices=_storage.STORAGE_MODES,
-        default=None,
-        help="column-storage mode (default: $REPRO_STORAGE or encoded)",
-    )
-    parser.add_argument(
-        "--trace",
-        metavar="PATH",
-        default=None,
-        help="record a structured trace (incremental.* spans/events) as "
-        "JSONL to PATH",
-    )
-    parser.add_argument(
-        "--json",
-        metavar="PATH",
-        help="rewrite PATH with the latest result after every update",
+    _substrate_options(parser)
+    _output_options(
+        parser, "rewrite PATH with the latest result after every update"
     )
     return parser
 
@@ -695,27 +955,15 @@ def watch_main(argv: Sequence[str]) -> int:
     """``repro watch`` entry point; returns a process exit code."""
     from .incremental import watch_directory
 
-    args = build_watch_parser().parse_args(argv)
-    if args.pli_backend is not None:
-        try:
-            _pli_backend.set_backend(args.pli_backend)
-        except _pli_backend.BackendUnavailable as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-    if args.storage is not None:
-        try:
-            _storage.set_storage(args.storage)
-        except _storage.StorageUnavailable as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-    trace_path = args.trace or _trace.env_trace_path()
-    tracer = _trace.enable() if args.trace else _trace.ACTIVE
+    args = _parse(build_watch_parser(), argv)
+    if args is None:
+        return 2
+    tracer, trace_path = _start_trace(args)
 
     def on_update(path, relation, result) -> None:
         print(f"{path.name}: {result.summary()}")
         if args.json:
-            with open(args.json, "w", encoding="utf-8") as handle:
-                handle.write(dumps(result) + "\n")
+            _write_json(args.json, dumps(result))
 
     exit_code = 0
     try:
@@ -736,19 +984,12 @@ def watch_main(argv: Sequence[str]) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
     except Interrupted as error:
-        print(f"{error}; stopping cleanly", file=sys.stderr)
-        exit_code = EXIT_INTERRUPTED
-    if tracer is not None and trace_path is not None:
-        try:
-            written = _trace.write_jsonl(tracer.events, trace_path)
-        except OSError as error:
-            print(f"warning: trace write failed: {error}", file=sys.stderr)
-        else:
-            print(
-                f"trace written to {trace_path} ({written} events)",
-                file=sys.stderr,
-            )
+        exit_code = _interrupted(error)
+    _write_trace(tracer, trace_path)
     return exit_code
+
+
+# -- repro cache ls -------------------------------------------------------------
 
 
 def build_cache_parser() -> argparse.ArgumentParser:
@@ -762,24 +1003,16 @@ def build_cache_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("action", choices=("ls",), help="cache operation")
-    parser.add_argument(
-        "--result-cache",
-        metavar="DIR",
-        default=None,
-        help="cache directory (default: $REPRO_RESULT_CACHE_DIR or "
-        f"{DEFAULT_CACHE_DIR})",
-    )
+    _result_cache_options(parser, switch=False)
     return parser
 
 
 def cache_main(argv: Sequence[str]) -> int:
     """``repro cache`` entry point; returns a process exit code."""
-    args = build_cache_parser().parse_args(argv)
-    root = (
-        args.result_cache
-        or os.environ.get("REPRO_RESULT_CACHE_DIR")
-        or DEFAULT_CACHE_DIR
-    )
+    args = _parse(build_cache_parser(), argv)
+    if args is None:
+        return 2
+    root = _cache_root(args)
     entries = ResultCache(root).entries()
     if not entries:
         print(f"result cache at {root}: no entries")
@@ -805,287 +1038,6 @@ def cache_main(argv: Sequence[str]) -> int:
             f"{entry['algorithm']}{suffix}{chain}"
         )
     return 0
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    """CLI entry point; returns a process exit code."""
-    arguments = list(sys.argv[1:] if argv is None else argv)
-    if arguments and arguments[0] == "profile-schema":
-        # Dispatched before the single-relation parser: the legacy CLI
-        # keeps its subcommand-free grammar (a bare CSV positional).
-        return schema_main(arguments[1:])
-    if arguments and arguments[0] == "watch":
-        return watch_main(arguments[1:])
-    if arguments and arguments[0] == "cache":
-        return cache_main(arguments[1:])
-    args = build_parser().parse_args(arguments)
-    if args.jobs < 1:
-        print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
-        return 2
-    if args.pli_backend is not None:
-        # Arm explicitly (process-wide) so an unusable request fails the
-        # run up front instead of silently profiling on another kernel.
-        try:
-            _pli_backend.set_backend(args.pli_backend)
-        except _pli_backend.BackendUnavailable as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-    if args.storage is not None:
-        # Armed before _load so the CSV read streams straight into the
-        # requested representation (one pass, no re-encode).
-        try:
-            _storage.set_storage(args.storage)
-        except _storage.StorageUnavailable as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-    # Tracing comes up before any profiling work so the trace covers the
-    # whole run.  $REPRO_TRACE already enabled the tracer at import time;
-    # --trace enables it (freshly) here and fixes the output path.
-    trace_path = args.trace or _trace.env_trace_path()
-    tracer = _trace.enable() if args.trace else _trace.ACTIVE
-    try:
-        relation = _load(args)
-    except (OSError, KeyError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-
-    budget = None
-    if (
-        args.deadline is not None
-        or args.max_intersections is not None
-        or args.max_cluster_bytes is not None
-    ):
-        budget = Budget(
-            deadline_seconds=args.deadline,
-            max_intersections=args.max_intersections,
-            max_cluster_bytes=args.max_cluster_bytes,
-        )
-
-    # Resolve "auto" up front so the cache is keyed by the algorithm that
-    # actually runs (the §6.5 heuristic depends only on the column count,
-    # which the fingerprint covers).
-    algorithm = args.algorithm
-    if algorithm == "auto":
-        algorithm = choose_algorithm(relation)
-    cache = _open_result_cache(args, budget)
-    # ``sampling`` and ``pli_backend`` are part of the key for counter
-    # transparency only — discovered metadata is exact (thus identical)
-    # in all modes.
-    cache_config = {
-        "seed": args.seed,
-        "as_published": args.as_published,
-        "sampling": args.sampling,
-        "pli_backend": _pli_backend.ACTIVE.name,
-        "storage": _storage.ACTIVE,
-    }
-
-    checkpoint_dir = args.checkpoint_dir or os.environ.get(
-        "REPRO_CHECKPOINT_DIR"
-    )
-    session = None
-    if checkpoint_dir:
-        # Keyed exactly like the result cache, so a resume only restores
-        # state produced by an identical (input, algorithm, config) run.
-        session = CheckpointStore(checkpoint_dir).session(
-            relation.fingerprint(), algorithm, cache_config
-        )
-        if session.load():
-            print(
-                f"resuming {algorithm} from checkpoint in {checkpoint_dir}",
-                file=sys.stderr,
-            )
-
-    result = None
-    if cache is not None:
-        document = cache.get(relation.fingerprint(), algorithm, cache_config)
-        if document is not None:
-            try:
-                result = result_from_dict(document)
-            except ValueError:
-                result = None  # stale schema: recompute
-            else:
-                if tracer is not None:
-                    # Served from cache: no algorithm ran, so no spans —
-                    # but the trace must say why the run shows no work.
-                    tracer.event(
-                        "cache.hit",
-                        algorithm=algorithm,
-                        dataset=relation.name,
-                        fingerprint=relation.fingerprint()[:12],
-                    )
-                print(
-                    f"result cache hit for {algorithm} "
-                    f"(fingerprint {relation.fingerprint()[:12]}...)",
-                    file=sys.stderr,
-                )
-
-    # With --append the base profile must run through an incremental
-    # profiler whose PLI store stays warm: the maintenance phase then
-    # delta-merges into the very substrate the base profile built,
-    # instead of rebuilding it.
-    incremental = None
-    if args.append:
-        from .incremental import IncrementalProfiler
-
-        incremental = IncrementalProfiler(
-            algorithm=algorithm,
-            seed=args.seed,
-            verify_completeness=not args.as_published,
-            jobs=args.jobs,
-            sampling=args.sampling,
-        )
-
-    exit_code = 0
-    if result is None:
-        try:
-            with graceful_shutdown(), guarded(budget), active_session(session):
-                result = (
-                    incremental.profile_base(relation)
-                    if incremental is not None
-                    else profile(
-                        relation,
-                        algorithm=algorithm,
-                        seed=args.seed,
-                        verify_completeness=not args.as_published,
-                        jobs=args.jobs,
-                        sampling=args.sampling,
-                    )
-                )
-            if session is not None:
-                # Completed: the snapshot has nothing left to resume.
-                session.complete()
-            if cache is not None:
-                try:
-                    cache.put(
-                        relation.fingerprint(),
-                        algorithm,
-                        result_to_dict(result),
-                        cache_config,
-                    )
-                except OSError as error:
-                    print(
-                        f"warning: result cache write failed: {error}",
-                        file=sys.stderr,
-                    )
-        except BudgetExceeded as error:
-            # Graceful degradation (Metanome's TL/ML cells): report
-            # whatever the interrupted algorithm had discovered, but exit
-            # non-zero so scripts can tell a partial profile from a
-            # complete one.
-            marker = "ML" if error.reason == "memory" else "TL"
-            result = error.partial_result or ProfilingResult.from_masks(
-                relation_name=relation.name, column_names=relation.column_names
-            )
-            print(
-                f"warning [{marker}]: budget exhausted ({error}); "
-                "results below are partial",
-                file=sys.stderr,
-            )
-            if session is not None:
-                # The snapshot survives: re-running without the budget
-                # resumes from the last completed boundary.
-                print(
-                    "checkpoint kept; re-run with --checkpoint-dir "
-                    f"{checkpoint_dir} to continue",
-                    file=sys.stderr,
-                )
-            exit_code = 3
-        except Interrupted as error:
-            # Graceful shutdown: the journal/checkpoint finally blocks
-            # already flushed; report, keep the snapshot, exit distinctly.
-            print(f"{error}; stopping cleanly", file=sys.stderr)
-            if session is not None:
-                print(
-                    "checkpoint kept; re-running the same command resumes "
-                    "from the last completed boundary",
-                    file=sys.stderr,
-                )
-            return EXIT_INTERRUPTED
-
-    if incremental is not None and exit_code == 0:
-        try:
-            with graceful_shutdown(), guarded(budget):
-                result = _apply_appends(
-                    args,
-                    incremental,
-                    relation,
-                    result,
-                    algorithm,
-                    cache,
-                    cache_config,
-                    checkpoint_dir,
-                )
-        except (OSError, ValueError) as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        except BudgetExceeded as error:
-            marker = "ML" if error.reason == "memory" else "TL"
-            print(
-                f"warning [{marker}]: budget exhausted during incremental "
-                f"maintenance ({error}); results below predate the "
-                "unfinished batch",
-                file=sys.stderr,
-            )
-            exit_code = 3
-        except Interrupted as error:
-            print(f"{error}; stopping cleanly", file=sys.stderr)
-            if checkpoint_dir:
-                print(
-                    "checkpoint kept; re-running the same command resumes "
-                    "the unfinished batch from the last completed phase",
-                    file=sys.stderr,
-                )
-            return EXIT_INTERRUPTED
-
-    stats_lines: list[str] = []
-    if args.stats:
-        stats_lines.append("\nper-column statistics:")
-        for stat in profile_statistics(relation):
-            stats_lines.append(
-                f"  {stat.name:24s} distinct={stat.distinct_count:<8d} "
-                f"nulls={stat.null_count:<6d} unique={str(stat.is_unique):5s} "
-                f"top={stat.top_value!r} x{stat.top_frequency}"
-            )
-
-    if args.json:
-        payload = dumps(result)
-        if args.json == "-":
-            print(payload)
-        else:
-            with open(args.json, "w", encoding="utf-8") as handle:
-                handle.write(payload + "\n")
-            print(f"result written to {args.json}")
-        for line in stats_lines:
-            print(line)
-    else:
-        _print_text_report(result, stats_lines)
-
-    if tracer is not None and trace_path is not None:
-        try:
-            written = _trace.write_jsonl(tracer.events, trace_path)
-        except OSError as error:
-            print(f"warning: trace write failed: {error}", file=sys.stderr)
-        else:
-            print(
-                f"trace written to {trace_path} ({written} events)",
-                file=sys.stderr,
-            )
-            summary = _trace.trace_summary(tracer.events)
-            if summary:
-                print("\nper-phase trace summary:")
-                print(
-                    f"  {'phase':32s} {'count':>6s} {'seconds':>10s} "
-                    f"{'self':>10s}"
-                )
-                for phase, entry in sorted(
-                    summary.items(), key=lambda item: -item[1]["self_seconds"]
-                ):
-                    print(
-                        f"  {phase:32s} {entry['count']:6d} "
-                        f"{entry['seconds']:10.4f} "
-                        f"{entry['self_seconds']:10.4f}"
-                    )
-    return exit_code
 
 
 if __name__ == "__main__":

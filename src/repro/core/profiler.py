@@ -13,6 +13,7 @@ from __future__ import annotations
 from .. import trace as _trace
 from ..metadata.results import ProfilingResult
 from ..pli import backend as _backend
+from ..pli.store import PliStore
 from ..relation import encoded as _encoded
 from ..relation.relation import Relation
 from ..sampling import SamplingConfig
@@ -107,14 +108,43 @@ def profile(
         pli_backend=_backend.ACTIVE.name,
         storage=_encoded.ACTIVE,
     ):
-        if algorithm == "muds":
-            return Muds(
-                seed=seed,
-                verify_completeness=verify_completeness,
-                sampling=sampling,
-            ).profile(relation)
-        if algorithm == "holistic_fun":
-            return HolisticFun(sampling=sampling).profile(relation)
-        return BaselineProfiler(
-            seed=seed, jobs=jobs, sampling=sampling
+        return _dispatch(
+            relation,
+            algorithm,
+            seed=seed,
+            verify_completeness=verify_completeness,
+            jobs=jobs,
+            sampling=sampling,
+        )
+
+
+def _dispatch(
+    relation: Relation,
+    algorithm: str,
+    seed: int = 0,
+    verify_completeness: bool = True,
+    jobs: int | None = None,
+    sampling: SamplingConfig | bool | None = None,
+    store: PliStore | None = None,
+) -> ProfilingResult:
+    """Run ``algorithm`` on ``relation`` (``"auto"``: the §6.5 rule).
+
+    The one algorithm dispatch behind :func:`profile` and
+    :meth:`repro.incremental.IncrementalProfiler.profile_base`; the
+    latter passes its own ``store`` so the PLIs built here stay warm for
+    delta maintenance.
+    """
+    if algorithm == "auto":
+        algorithm = choose_algorithm(relation)
+    if algorithm == "muds":
+        return Muds(
+            seed=seed,
+            verify_completeness=verify_completeness,
+            store=store,
+            sampling=sampling,
         ).profile(relation)
+    if algorithm == "holistic_fun":
+        return HolisticFun(store=store, sampling=sampling).profile(relation)
+    return BaselineProfiler(
+        seed=seed, store=store, jobs=jobs, sampling=sampling
+    ).profile(relation)

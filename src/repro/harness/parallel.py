@@ -52,15 +52,10 @@ from ..guard import Budget
 from ..pli import backend as _backend
 from ..relation import encoded as _encoded
 from ..relation.relation import Relation
-from .framework import (
-    Framework,
-    MetadataDisagreement,
-    default_framework,
-    resolve_budget,
-    verify_agreement,
-)
+from .framework import Framework, default_framework
 from .checkpoint import CheckpointStore
 from .result_cache import ResultCache
+from .runner import SweepPoint, run_point
 from .watchdog import Watchdog
 
 __all__ = [
@@ -190,14 +185,12 @@ def execute_point_record(task: PointTask) -> dict[str, Any]:
     """Worker entry point: run one sweep point, return its serialized
     :class:`~repro.harness.runner.SweepPoint` record.
 
-    Mirrors the inline loop of
-    :meth:`~repro.harness.runner.ExperimentRunner.sweep` exactly: a
-    crashing workload builder or a metadata disagreement becomes the
-    point's ``error``; algorithm failures are contained by the framework
-    as TL/ML/ERR executions.  Runs inside the worker process.
+    Arms what the parent armed (kernel backend, storage mode, tracer,
+    heartbeat), rebuilds the framework, result cache and checkpoint store
+    from the task, and runs the point through
+    :func:`~repro.harness.runner.run_point`, the loop a serial sweep
+    runs.  Runs inside the worker process.
     """
-    from .runner import SweepPoint  # deferred: runner imports this module
-
     if task.heartbeat_dir is not None:
         # Arm this worker's liveness heartbeat: the guard checkpoint hook
         # inside every lattice loop refreshes the per-pid file, so the
@@ -208,68 +201,42 @@ def execute_point_record(task: PointTask) -> dict[str, Any]:
             label=str(task.label),
         )
     try:
-        return _execute_point_record(task, SweepPoint)
+        if task.pli_backend is not None:
+            # Re-arm the parent's kernel backend in this worker.  Safe
+            # under fork *and* spawn: set_backend is idempotent, and an
+            # unusable explicit choice should fail the point loudly rather
+            # than let workers silently compute on a different kernel.
+            _backend.set_backend(task.pli_backend)
+        if task.storage is not None:
+            # Same contract for the storage mode: the worker's substrate
+            # must encode exactly like the parent's would have.
+            _encoded.set_storage(task.storage)
+        if task.trace and _trace.ACTIVE is None:
+            # The parent was tracing when it built the task; bring this
+            # worker's process-local tracer up so the point's events exist
+            # to ship back.  (A forked worker may instead have inherited a
+            # live tracer including the parent's old events — the rebased
+            # capture in run_point slices past them either way.)
+            _trace.enable()
+        point = run_point(
+            task.label,
+            task.workload,
+            task.framework.build(),
+            task.algorithms,
+            budget=task.budget,
+            check_agreement=task.check_agreement,
+            cache=ResultCache(task.cache_root) if task.cache_root else None,
+            cache_config=task.cache_config,
+            checkpoints=(
+                CheckpointStore(task.checkpoint_root)
+                if task.checkpoint_root
+                else None
+            ),
+        )
+        return point.to_record()
     finally:
         if task.heartbeat_dir is not None:
             _liveness.disarm()
-
-
-def _execute_point_record(task: PointTask, SweepPoint) -> dict[str, Any]:
-    if task.pli_backend is not None:
-        # Re-arm the parent's kernel backend in this worker.  Safe under
-        # fork *and* spawn: set_backend is idempotent, and an unusable
-        # explicit choice should fail the point loudly rather than let
-        # workers silently compute on a different kernel than the parent.
-        _backend.set_backend(task.pli_backend)
-    if task.storage is not None:
-        # Same contract for the storage mode: the worker's substrate must
-        # encode (or not) exactly like the parent's would have.
-        _encoded.set_storage(task.storage)
-    if task.trace and _trace.ACTIVE is None:
-        # The parent was tracing when it built the task; bring this
-        # worker's process-local tracer up so the point's events exist to
-        # ship back.  (A forked worker may instead have inherited a live
-        # tracer including the parent's old events — the rebased capture
-        # below slices past them either way.)
-        _trace.enable()
-    point = SweepPoint(label=task.label)
-    with _trace.capture(drain=True) as captured:
-        with _trace.span("sweep.point", label=str(task.label)):
-            try:
-                relation = task.workload.build(task.label)
-            except Exception as error:  # same containment as inline sweeps
-                point.error = (
-                    f"workload failed: {type(error).__name__}: {error}"
-                )
-            else:
-                framework = task.framework.build()
-                cache = (
-                    ResultCache(task.cache_root) if task.cache_root else None
-                )
-                checkpoints = (
-                    CheckpointStore(task.checkpoint_root)
-                    if task.checkpoint_root
-                    else None
-                )
-                for name in task.algorithms:
-                    point.executions.append(
-                        framework.run(
-                            name,
-                            relation,
-                            budget=resolve_budget(task.budget, name),
-                            cache=cache,
-                            cache_config=task.cache_config,
-                            checkpoints=checkpoints,
-                        )
-                    )
-                if task.check_agreement:
-                    try:
-                        verify_agreement(point.executions)
-                    except MetadataDisagreement as error:
-                        point.error = str(error)
-    if task.trace:
-        point.trace = captured.events
-    return point.to_record()
 
 
 def run_sweep_points(
@@ -401,8 +368,6 @@ def _error_record(
     task: PointTask, error: Exception, attempts: int
 ) -> dict[str, Any]:
     """Point-level error record for a task whose worker process died."""
-    from .runner import SweepPoint
-
     cause = str(error).strip() or "worker process died"
     noun = "attempt" if attempts == 1 else "attempts"
     point = SweepPoint(

@@ -127,9 +127,8 @@ def config_key(config: Mapping[str, Any] | str | None) -> str:
 class ResultCache:
     """Directory-backed ``(fingerprint, algorithm, config) -> payload`` map.
 
-    Payloads are arbitrary JSON-ready dicts; the harness stores serialized
-    :class:`~repro.harness.framework.Execution` records and the CLI stores
-    serialized :class:`~repro.metadata.results.ProfilingResult` documents.
+    Payloads are arbitrary JSON-ready dicts; the harness and the CLI store
+    serialized :class:`~repro.harness.framework.Execution` records.
     ``hits`` / ``misses`` / ``puts`` count this instance's traffic.
     """
 

@@ -49,7 +49,13 @@ if TYPE_CHECKING:  # imported lazily at runtime (parallel imports runner)
     from .parallel import FrameworkSpec
     from .result_cache import ResultCache
 
-__all__ = ["SweepPoint", "SweepJournal", "ExperimentRunner", "sweep_table"]
+__all__ = [
+    "SweepPoint",
+    "SweepJournal",
+    "ExperimentRunner",
+    "run_point",
+    "sweep_table",
+]
 
 
 @dataclass(slots=True)
@@ -240,6 +246,60 @@ class SweepJournal:
         return lines - len(order)
 
 
+def run_point(
+    label: object,
+    workload: Callable[[object], Relation],
+    framework: Framework,
+    algorithms: Iterable[str],
+    budget: Budget | Mapping[str, Budget] | None = None,
+    check_agreement: bool = True,
+    cache: "ResultCache | None" = None,
+    cache_config: Mapping[str, Any] | str | None = None,
+    checkpoints: "CheckpointStore | None" = None,
+) -> SweepPoint:
+    """Execute one sweep point: build its relation, run every algorithm
+    through :meth:`Framework.run`, and check the executions agree.
+
+    The one point loop of both sweep modes: the serial sweep calls it in
+    this process, each pool worker in its own
+    (:func:`repro.harness.parallel.execute_point_record`).  A crashing
+    workload builder or a metadata disagreement becomes the point's
+    ``error``; algorithm failures are contained by the framework as
+    TL/ML/ERR executions.
+    """
+    point = SweepPoint(label=label)
+    # Per-point capture (drained so a long sweep does not hold every
+    # point's events twice) with rebased span ids, so jobs=1 and jobs=N
+    # traces are structurally identical.
+    with _trace.capture(drain=True) as captured:
+        with _trace.span("sweep.point", label=str(label)):
+            try:
+                relation = workload(label)
+            except Exception as error:  # record, don't abort the sweep
+                point.error = (
+                    f"workload failed: {type(error).__name__}: {error}"
+                )
+            else:
+                for name in algorithms:
+                    point.executions.append(
+                        framework.run(
+                            name,
+                            relation,
+                            budget=resolve_budget(budget, name),
+                            cache=cache,
+                            cache_config=cache_config,
+                            checkpoints=checkpoints,
+                        )
+                    )
+                if check_agreement:
+                    try:
+                        verify_agreement(point.executions)
+                    except MetadataDisagreement as error:
+                        point.error = str(error)
+    point.trace = captured.events
+    return point
+
+
 class ExperimentRunner:
     """Run algorithms over a workload sweep and collect the series."""
 
@@ -364,68 +424,24 @@ class ExperimentRunner:
                 watchdog_grace=watchdog_grace,
             )
         else:
-            computed = {
-                _label_key(label): self._run_point_inline(
+            computed = {}
+            for label in pending:
+                point = run_point(
                     label,
                     workload,
-                    check_agreement=check_agreement,
+                    self.framework,
+                    self.algorithms,
                     budget=budget,
-                    journal=journal,
-                    result_cache=result_cache,
+                    check_agreement=check_agreement,
+                    cache=result_cache,
                     cache_config=cache_config,
                     checkpoints=checkpoints,
                 )
-                for label in pending
-            }
+                if journal is not None:
+                    journal.append(point)
+                computed[_label_key(label)] = point
         restored.update(computed)
         return [restored[_label_key(label)] for label in points]
-
-    def _run_point_inline(
-        self,
-        label: object,
-        workload: Callable[[object], Relation],
-        check_agreement: bool,
-        budget: Budget | Mapping[str, Budget] | None,
-        journal: SweepJournal | None,
-        result_cache: "ResultCache | None",
-        cache_config: str | None,
-        checkpoints: "CheckpointStore | None" = None,
-    ) -> SweepPoint:
-        """Execute one sweep point in this process (the serial path)."""
-        point = SweepPoint(label=label)
-        # Per-point capture (drained so a long sweep does not hold every
-        # point's events twice) with rebased span ids: the same slice a
-        # pool worker would ship back, so jobs=1 and jobs=N traces are
-        # structurally identical.
-        with _trace.capture(drain=True) as captured:
-            with _trace.span("sweep.point", label=str(label)):
-                try:
-                    relation = workload(label)
-                except Exception as error:  # record, don't abort the sweep
-                    point.error = (
-                        f"workload failed: {type(error).__name__}: {error}"
-                    )
-                else:
-                    for name in self.algorithms:
-                        point.executions.append(
-                            self.framework.run(
-                                name,
-                                relation,
-                                budget=resolve_budget(budget, name),
-                                cache=result_cache,
-                                cache_config=cache_config,
-                                checkpoints=checkpoints,
-                            )
-                        )
-                    if check_agreement:
-                        try:
-                            verify_agreement(point.executions)
-                        except MetadataDisagreement as error:
-                            point.error = str(error)
-        point.trace = captured.events
-        if journal is not None:
-            journal.append(point)
-        return point
 
     def _sweep_parallel(
         self,

@@ -42,10 +42,7 @@ from typing import Any
 from .. import checkpointing as _ckpt
 from .. import trace as _trace
 from ..algorithms.values import canonical_value
-from ..core.baseline import BaselineProfiler
-from ..core.holistic_fun import HolisticFun
-from ..core.muds import Muds
-from ..core.profiler import ALGORITHMS, choose_algorithm
+from ..core.profiler import ALGORITHMS, _dispatch
 from ..metadata.results import ProfilingResult
 from ..pli.store import PliStore
 from ..relation.columnset import bit, full_mask, is_proper_subset, is_subset
@@ -95,26 +92,15 @@ class IncrementalProfiler:
         PLIs, memoized composites, and vectors built here are exactly
         what a later :meth:`maintain` delta-merges into.
         """
-        algorithm = self.algorithm
-        if algorithm == "auto":
-            algorithm = choose_algorithm(relation)
-        if algorithm == "muds":
-            return Muds(
-                seed=self.seed,
-                verify_completeness=self.verify_completeness,
-                store=self.store,
-                sampling=self.sampling,
-            ).profile(relation)
-        if algorithm == "holistic_fun":
-            return HolisticFun(
-                store=self.store, sampling=self.sampling
-            ).profile(relation)
-        return BaselineProfiler(
+        return _dispatch(
+            relation,
+            self.algorithm,
             seed=self.seed,
-            store=self.store,
+            verify_completeness=self.verify_completeness,
             jobs=self.jobs,
             sampling=self.sampling,
-        ).profile(relation)
+            store=self.store,
+        )
 
     # -- incremental maintenance ---------------------------------------------
 

@@ -145,7 +145,7 @@ class RelationIndex:
         if mask == 0:
             raise ValueError("the empty column combination has no PLI")
         # Cooperative guard point: every index-driven algorithm (DUCC, the
-        # MUDS phases, HCA, ...) funnels through here, so deadlines fire
+        # MUDS phases, ...) funnels through here, so deadlines fire
         # even in loops that never call checkpoint() themselves.
         checkpoint()
         cached = self.cache.get(mask)

@@ -215,6 +215,7 @@ class EncodedColumn:
         "_hash",
         "_finalizer",
         "_positions",
+        "holders",
         "__weakref__",
     )
 
@@ -233,6 +234,11 @@ class EncodedColumn:
         self._mmap = mapped
         self._hash: int | None = None
         self._positions: dict[Any, int] | None = None
+        #: Relation columns holding this encoding (as the column itself or
+        #: as its sidecar).  Appends grow it in place, so a relation
+        #: appending to an encoding with more than one holder copies it
+        #: first (``Relation._unshare``).
+        self.holders = 0
         # Spill-file lifecycle: the file exists exactly as long as some
         # column reads it; collection closes the map and unlinks.
         if spill_path is not None:
@@ -650,6 +656,7 @@ def encode_relation(
             column = encode_column(
                 relation.column(index), storage=mode, spill_dir=spill_dir
             )
+            column.holders = 1
             encodings.append(column)
             tracer = _trace.ACTIVE
             if tracer is not None:

@@ -142,7 +142,6 @@ class Relation:
         "_hashers",
         "_token_memos",
         "_parent_fingerprint",
-        "_shares_columns",
     )
 
     def __init__(
@@ -183,9 +182,7 @@ class Relation:
         # append_rows with the tokens of the codes its batches touch.
         self._token_memos: list[dict[int, bytes]] | None = None
         self._parent_fingerprint: str | None = None
-        # Set by project(): encoded columns may be held by another
-        # relation too, so the first append copies them (_unshare).
-        self._shares_columns = False
+        self._hold()
 
     # -- constructors ------------------------------------------------------
 
@@ -367,8 +364,7 @@ class Relation:
                 )
         if not materialized:
             return 0
-        if self._shares_columns:
-            self._unshare()
+        self._unshare()
         parent = self.fingerprint()
         hashers = self._ensure_hashers()
         memos = self._token_memos
@@ -395,26 +391,40 @@ class Relation:
         )
         return len(materialized)
 
+    def _hold(self) -> None:
+        """Count this relation as a holder of each encoding it holds."""
+        for index in range(len(self._names)):
+            encoding = self.encoding(index)
+            if encoding is not None:
+                encoding.holders += 1
+
     def _unshare(self) -> None:
-        """Re-encode this relation's encoded columns into private copies.
+        """Re-encode the encodings another holder shares into private copies.
 
         ``append_rows`` grows encoded columns (and sidecar encodings) in
-        place, so a relation holding column objects it shares with a
-        projection copies them before its first append.  The copies have
-        the same codes and dictionaries, in the same storage mode.
+        place, so an encoding that some other relation — or another
+        column of this one — holds too is copied first, however the two
+        came to share it (a projection, the constructor).  The copies
+        have the same codes and dictionaries, in the same storage mode;
+        an encoding with no other holder is kept, so appends stay
+        O(batch).
         """
-        self._columns = tuple(
-            encode_column(col, storage=col.storage)
-            if isinstance(col, EncodedColumn)
-            else col
-            for col in self._columns
-        )
-        if self._encodings is not None:
-            self._encodings = tuple(
-                None if enc is None else encode_column(enc, storage=enc.storage)
-                for enc in self._encodings
-            )
-        self._shares_columns = False
+        columns = list(self._columns)
+        encodings = list(self._encodings) if self._encodings is not None else None
+        for index in range(len(columns)):
+            shared = self.encoding(index)
+            if shared is None or shared.holders <= 1:
+                continue
+            private = encode_column(shared, storage=shared.storage)
+            private.holders = 1
+            shared.holders -= 1
+            if columns[index] is shared:
+                columns[index] = private
+            if encodings is not None and encodings[index] is shared:
+                encodings[index] = private
+        self._columns = tuple(columns)
+        if encodings is not None:
+            self._encodings = tuple(encodings)
 
     # -- transformations ---------------------------------------------------
 
@@ -427,10 +437,14 @@ class Relation:
             name=name or self._name,
         )
         if self._encodings is not None:
+            # The constructor counted the shared encoded columns; the
+            # sidecars of the other columns are shared too.
             projected._encodings = tuple(self._encodings[i] for i in indexes)
-        # Both relations now hold the same encoded column objects; an
-        # append to either must not grow the other's.
-        self._shares_columns = projected._shares_columns = True
+            for i in indexes:
+                if not isinstance(self._columns[i], EncodedColumn):
+                    sidecar = self._encodings[i]
+                    if sidecar is not None:
+                        sidecar.holders += 1
         return projected
 
     def head(self, n_rows: int, name: str | None = None) -> "Relation":
@@ -497,6 +511,7 @@ class Relation:
         self._token_memos = None  # absent from pickles of older releases
         for slot, value in state.items():
             setattr(self, slot, value)
+        self._hold()
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Relation):

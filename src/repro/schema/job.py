@@ -42,7 +42,7 @@ from .. import trace as _trace
 from ..algorithms.spider import spider_across
 from ..algorithms.values import canonical_value
 from ..checkpointing import active_session
-from ..core.profiler import ALGORITHMS, MUDS_COLUMN_THRESHOLD
+from ..core.profiler import ALGORITHMS, choose_algorithm
 from ..faults import FAULTS, SCHEMA_LOAD
 from ..guard import Budget, BudgetExceeded, guarded
 from ..harness.framework import Framework
@@ -138,16 +138,6 @@ def schema_framework(
     framework = Framework()
     framework.register("schema", _SchemaProfiler)
     return framework
-
-
-def _resolved_algorithm(algorithm: str, n_columns: int) -> str:
-    """The single-relation algorithm a table actually runs under: the
-    pinned one, or the §6.5 column-count rule for ``"auto"`` (a pure
-    function of the column count, so the parent can record it without
-    waiting for the worker)."""
-    if algorithm != "auto":
-        return algorithm
-    return "muds" if n_columns >= MUDS_COLUMN_THRESHOLD else "holistic_fun"
 
 
 def _column_facts(relation: Relation) -> dict[str, ColumnFacts]:
@@ -282,8 +272,10 @@ class SchemaJob:
                     entry.fingerprint = relation.fingerprint()
                     entry.n_columns = relation.n_columns
                     entry.n_rows = relation.n_rows
-                    entry.algorithm = _resolved_algorithm(
-                        self.algorithm, relation.n_columns
+                    entry.algorithm = (
+                        self.algorithm
+                        if self.algorithm != "auto"
+                        else choose_algorithm(relation)
                     )
                     relations[entry.name] = relation
                     for column, column_facts in _column_facts(relation).items():

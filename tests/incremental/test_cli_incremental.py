@@ -188,6 +188,32 @@ class TestWatch:
             document.pop("relation", None)
         assert left == right
 
+    def test_watch_json_is_replaced_never_truncated(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import repro.cli
+
+        watched = self._directory(tmp_path)
+        latest = tmp_path / "latest.json"
+        documents = []
+        serialize = repro.cli.dumps
+
+        def dumps_then_fail(result):
+            if documents:
+                raise ValueError("serialization failed")
+            documents.append(serialize(result))
+            return documents[-1]
+
+        monkeypatch.setattr(repro.cli, "dumps", dumps_then_fail)
+        assert watch_main(
+            [str(watched), "--once", "--algorithm", "muds",
+             "--json", str(latest)]
+        ) == 2
+        assert "serialization failed" in capsys.readouterr().err
+        # The first update's complete document survives the failed second.
+        assert json.loads(latest.read_text()) == json.loads(documents[0])
+        assert [p.name for p in tmp_path.iterdir() if ".tmp" in p.name] == []
+
     def test_watch_missing_directory_errors(self, tmp_path, capsys):
         assert watch_main([str(tmp_path / "gone"), "--once"]) == 2
         assert "error" in capsys.readouterr().err

@@ -6,8 +6,6 @@ import pytest
 
 from repro.algorithms.ducc import ducc_on_relation
 from repro.algorithms.fun import fun_on_relation
-from repro.algorithms.gordian import gordian_on_relation
-from repro.algorithms.hca import hca_on_relation
 from repro.algorithms.spider import spider_on_relation
 from repro.algorithms.tane import tane_on_relation
 from repro.core.adaptive import AdaptiveProfiler
@@ -81,8 +79,6 @@ class TestCrossAlgorithmSharing:
             ),
             "fun": lambda: fun_on_relation(relation, store=store),
             "tane": lambda: tane_on_relation(relation, store=store),
-            "hca": lambda: hca_on_relation(relation, store=store),
-            "gordian": lambda: gordian_on_relation(relation, store=store),
             "muds": lambda: Muds(store=store).profile(relation),
             "hfun": lambda: HolisticFun(store=store).profile(relation),
             "baseline": lambda: SequentialBaseline(store=store).profile(relation),

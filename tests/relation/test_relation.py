@@ -127,9 +127,10 @@ class TestDunder:
 
 
 class TestProjectionAppendIsolation:
-    """A projection holds its parent's encoded column objects, and
-    appends grow encoded columns in place: an append to either relation
-    must still leave the other one exactly as it was."""
+    """A projection — or a relation constructed from another relation's
+    columns — holds the same encoded column objects, and appends grow
+    encoded columns in place: an append to either relation must still
+    leave the other one exactly as it was."""
 
     NAMES = ["a", "b", "c"]
     ROWS = [("1", "x", "p"), ("2", "y", "p"), ("3", "x", "q"), ("4", "z", None)]
@@ -158,15 +159,24 @@ class TestProjectionAppendIsolation:
         )
 
     @pytest.mark.parametrize("appender", ["projection", "parent"])
+    @pytest.mark.parametrize("sharing", ["project", "constructor"])
     @pytest.mark.parametrize("source", ["csv", "memory"])
     @pytest.mark.parametrize("mode", STORAGE_MODES)
     def test_append_leaves_the_other_relation_unchanged(
-        self, mode, source, appender, tmp_path, monkeypatch
+        self, mode, source, sharing, appender, tmp_path, monkeypatch
     ):
         monkeypatch.setenv(SPILL_DIR_ENV, str(tmp_path))
         with use_storage(mode):
             parent = self._parent(source, mode)
-            projection = parent.project(["a", "b"])
+            if sharing == "project":
+                projection = parent.project(["a", "b"])
+            else:
+                # The parent's encodings become the new relation's
+                # columns: its columns themselves for a CSV, its sidecars
+                # for an in-memory relation.
+                projection = Relation(
+                    ["a", "b"], [parent.encoding(i) for i in range(2)]
+                )
             grown, other = (
                 (projection, parent)
                 if appender == "projection"

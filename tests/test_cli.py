@@ -131,13 +131,44 @@ class TestResultCacheFlags:
         assert main(argv) == 0
         assert "result cache hit" in capsys.readouterr().err
 
-    def test_budgeted_runs_bypass_the_cache(self, csv_path, capsys):
+    def test_budgeted_runs_bypass_the_cache(self, csv_path, tmp_path, capsys):
         assert main([str(csv_path)]) == 0  # populate
         capsys.readouterr()
         # Even a generous deadline disables the cache: partials are a
         # property of the budget, not the input.
         assert main([str(csv_path), "--deadline", "60"]) == 0
         assert "result cache hit" not in capsys.readouterr().err
+        # --append batches obey the same rule: nothing is written.
+        batch = tmp_path / "batch.csv"
+        batch.write_text(
+            "employee_id,city,zip,state,work_state\nE6,Eugene,97401,OR,OR\n"
+        )
+        cache_dir = tmp_path / "budgeted-cache"
+        assert main(
+            [str(csv_path), "--append", str(batch), "--deadline", "60",
+             "--result-cache", str(cache_dir)]
+        ) == 0
+        assert "appended" in capsys.readouterr().err
+        assert not list(cache_dir.rglob("*.json"))
+
+    def test_bare_result_entries_miss_once_then_hit(
+        self, csv_path, tmp_path, capsys
+    ):
+        # The CLI stores execution records, as every other caller of the
+        # cache does; an entry holding a bare result document, as earlier
+        # versions of the CLI wrote, misses once and is rewritten.
+        cache_dir = tmp_path / "cache"
+        argv = [str(csv_path), "--result-cache", str(cache_dir)]
+        assert main(argv) == 0
+        (entry,) = cache_dir.rglob("*.json")
+        envelope = json.loads(entry.read_text())
+        envelope["payload"] = envelope["payload"]["result"]
+        entry.write_text(json.dumps(envelope))
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert "result cache hit" not in capsys.readouterr().err
+        assert main(argv) == 0
+        assert "result cache hit" in capsys.readouterr().err
 
     def test_cached_and_computed_json_are_identical(self, csv_path, tmp_path, capsys):
         first = tmp_path / "first.json"
@@ -150,6 +181,54 @@ class TestResultCacheFlags:
             computed.pop(volatile, None)
             cached.pop(volatile, None)
         assert computed == cached
+
+
+class TestNumericFlags:
+    """Every numeric flag is range-checked before any input is read: exit
+    status 2 and an ``error:`` line naming the flag, nothing profiled."""
+
+    @pytest.fixture
+    def inputs(self, csv_path, tmp_path):
+        directory = tmp_path / "tables"
+        directory.mkdir()
+        for name in ("0000.csv", "0001.csv"):
+            (directory / name).write_text(csv_path.read_text())
+        return {"csv": [str(csv_path)], "directory": [str(directory)]}
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("csv", "--deadline", "-1"),
+            ("csv", "--max-intersections", "-1"),
+            ("csv", "--max-cluster-bytes", "-1"),
+            ("csv", "--max-rows", "-5"),
+            ("csv", "--jobs", "0"),
+            ("dataset", "--max-rows", "-5"),
+            ("profile-schema", "--deadline", "-1"),
+            ("profile-schema", "--max-intersections", "-1"),
+            ("profile-schema", "--max-cluster-bytes", "-1"),
+            ("profile-schema", "--max-fk", "-1"),
+            ("profile-schema", "--jobs", "0"),
+            ("watch", "--max-batches", "0"),
+            ("watch", "--interval", "-1"),
+        ],
+    )
+    def test_out_of_range_value_is_rejected_up_front(
+        self, inputs, command, flag, value, capsys
+    ):
+        argv = {
+            "csv": inputs["csv"],
+            "dataset": ["--dataset", "iris"],
+            "profile-schema": ["profile-schema", *inputs["directory"]],
+            # --once keeps a watch that ignored --max-batches 0 from
+            # polling forever; --interval matters only between polls.
+            "watch": ["watch", *inputs["directory"]]
+            + (["--once"] if flag == "--max-batches" else []),
+        }[command]
+        assert main([*argv, flag, value]) == 2
+        captured = capsys.readouterr()
+        assert f"error: {flag} must be >= " in captured.err
+        assert captured.out == ""
 
 
 class TestJobsFlag:
