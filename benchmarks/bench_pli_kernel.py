@@ -22,8 +22,9 @@ import json
 import statistics
 import time
 
+from repro.algorithms.naive import legacy_intersect
 from repro.datasets import uniprot_like
-from repro.pli import PLI, RelationIndex, legacy_intersect
+from repro.pli import PLI, RelationIndex
 
 from .conftest import RESULTS_DIR, once
 

@@ -5,17 +5,23 @@ directly, with no pruning beyond trivially implied minimality filtering.
 They are exponential and meant exclusively as ground truth for the test
 suite: every optimized algorithm in this package is cross-validated against
 them on small inputs (including hypothesis-generated random relations).
+:func:`legacy_intersect` is the same kind of reference one layer down: the
+seed PLI kernel that the array-backed ``PLI.intersect`` is diffed against.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
+from ..pli.pli import PLI
 from ..relation.columnset import bits, is_proper_subset, mask_of
 from ..relation.relation import Relation
 from .values import canonical_value
 
-__all__ = ["naive_inds", "naive_uccs", "naive_fds", "is_unique", "holds_fd"]
+__all__ = [
+    "naive_inds", "naive_uccs", "naive_fds", "is_unique", "holds_fd",
+    "legacy_intersect",
+]
 
 
 def naive_inds(relation: Relation) -> list[tuple[int, int]]:
@@ -100,3 +106,38 @@ def naive_fds(relation: Relation, include_empty_lhs: bool = False) -> list[tuple
                     minimal_lhs.append(lhs)
         result.extend((lhs, rhs) for lhs in minimal_lhs)
     return sorted(result)
+
+
+def legacy_intersect(left: PLI, right: PLI) -> PLI:
+    """The seed kernel's intersection, kept as a differential reference.
+
+    Rebuilds a probe dictionary over the larger side on every call and
+    routes the result through the normalizing public constructor — exactly
+    the behaviour the array-backed kernel replaces.  Used by the
+    differential test suite and ``benchmarks/bench_pli_kernel.py`` to prove
+    the new path produces identical PLIs, faster.
+    """
+    if left.n_rows != right.n_rows:
+        raise ValueError(
+            f"cannot intersect PLIs over {left.n_rows} and {right.n_rows} rows"
+        )
+    small, large = (
+        (left, right)
+        if left.n_clustered_rows <= right.n_clustered_rows
+        else (right, left)
+    )
+    probe: dict[int, int] = {}
+    for cluster_id, cluster in enumerate(large.clusters):
+        for row in cluster:
+            probe[row] = cluster_id
+    result: list[list[int]] = []
+    for cluster in small.clusters:
+        groups: dict[int, list[int]] = {}
+        for row in cluster:
+            other_cluster = probe.get(row)
+            if other_cluster is not None:
+                groups.setdefault(other_cluster, []).append(row)
+        for group in groups.values():
+            if len(group) >= 2:
+                result.append(group)
+    return PLI(result, left.n_rows)

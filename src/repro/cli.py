@@ -51,6 +51,7 @@ from . import trace as _trace
 from .checkpointing import active_session
 from .core.profiler import ALGORITHMS, choose_algorithm, profile
 from .core.statistics import profile_statistics
+from .durable import write_atomic
 from .guard import Budget, BudgetExceeded, guarded
 from .harness.checkpoint import CheckpointStore
 from .harness.framework import Execution, Framework
@@ -326,23 +327,15 @@ def _write_trace(tracer, path: str | None, summary: bool = False) -> None:
 def _write_json(path: str, payload: str, noun: str | None = None) -> None:
     """Write a JSON document to ``path`` (``-``: stdout).
 
-    The document goes to a temporary file in the same directory that then
-    replaces ``path`` in one rename, so a reader polling ``path`` (``repro
-    watch`` rewrites it after every update) sees the previous document or
-    the new one, never an empty or partial one.  With ``noun``, say where
-    the document went.
+    The file is replaced atomically (:func:`repro.durable.write_atomic`),
+    so a reader polling ``path`` (``repro watch`` rewrites it after every
+    update) sees the previous document or the new one, never an empty or
+    partial one.  With ``noun``, say where the document went.
     """
     if path == "-":
         print(payload)
         return
-    temporary = f"{path}.tmp-{os.getpid()}"
-    try:
-        with open(temporary, "w", encoding="utf-8") as handle:
-            handle.write(payload + "\n")
-        os.replace(temporary, path)
-    finally:
-        if os.path.exists(temporary):
-            os.unlink(temporary)
+    write_atomic(path, payload + "\n")
     if noun is not None:
         print(f"{noun} written to {path}")
 

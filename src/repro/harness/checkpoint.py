@@ -31,20 +31,19 @@ own, so one file always holds a complete, consistent snapshot.  Each
 envelope contains *only* the currently active contexts plus the leaf
 stage — stale stages from earlier phases never linger.
 
-Checkpoint I/O runs under the transient-fault
-:class:`~repro.harness.retry.RetryPolicy` and trips the
-``checkpoint.save`` / ``checkpoint.load`` fault points, so the injection
-campaign exercises the torn-write paths.  The names the algorithms
-themselves touch (the :data:`~repro.checkpointing.ACTIVE` session handle,
-:class:`~repro.checkpointing.SimulatedCrash`, the JSON state helpers)
-live in the import-order-neutral :mod:`repro.checkpointing` — the same
-layering as :mod:`repro.guard` / :mod:`repro.harness` — and are
-re-exported here as the harness face.
+Checkpoint files are written and read through :mod:`repro.durable`
+under the transient-fault :class:`~repro.harness.retry.RetryPolicy`, and
+trip the ``checkpoint.save`` / ``checkpoint.load`` fault points, so the
+injection campaign exercises the failed-write paths.  The names the
+algorithms themselves touch (the :data:`~repro.checkpointing.ACTIVE`
+session handle, :class:`~repro.checkpointing.SimulatedCrash`, the JSON
+state helpers) live in the import-order-neutral
+:mod:`repro.checkpointing` — the same layering as :mod:`repro.guard` /
+:mod:`repro.harness`.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from contextlib import contextmanager
@@ -52,18 +51,10 @@ from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping
 
 from .. import trace as _trace
-from ..checkpointing import (  # noqa: F401  (harness face re-exports)
-    SimulatedCrash,
-    active_session,
-    mask_dict,
-    mask_items,
-    pli_from_state,
-    pli_state,
-    rng_state_from_json,
-    rng_state_to_json,
-)
-from ..faults import CHECKPOINT_LOAD, CHECKPOINT_SAVE, FAULTS
-from .result_cache import config_key
+from ..checkpointing import SimulatedCrash
+from ..durable import read_json, write_atomic
+from ..faults import CHECKPOINT_LOAD, CHECKPOINT_SAVE
+from .result_cache import cell_key
 from .retry import RetryPolicy
 
 __all__ = [
@@ -71,13 +62,6 @@ __all__ = [
     "CheckpointStore",
     "DEFAULT_MERGE_STRIDE",
     "SimulatedCrash",
-    "active_session",
-    "mask_dict",
-    "mask_items",
-    "pli_from_state",
-    "pli_state",
-    "rng_state_from_json",
-    "rng_state_to_json",
 ]
 
 #: Envelope schema version; bump to invalidate every existing checkpoint.
@@ -121,25 +105,15 @@ class CheckpointSession:
     def load(self) -> bool:
         """Read the checkpoint file; True when prior state was restored.
 
-        A missing, corrupt, torn, or version-mismatched file is treated
-        as *absent* — a checkpoint must never turn disk state into an
-        error (the run simply starts fresh).  The read runs under the
+        A missing, corrupt, unreadable, or version-mismatched file is
+        treated as *absent* — a checkpoint must never turn disk state into
+        an error (the run simply starts fresh).  The read runs under the
         retry policy and trips the ``checkpoint.load`` fault point even
         when no file exists, so the injection campaign always reaches it.
         """
-
-        def _read() -> dict[str, Any] | None:
-            if FAULTS.armed:
-                FAULTS.trip(CHECKPOINT_LOAD)
-            try:
-                with open(self.path, "r", encoding="utf-8") as handle:
-                    return json.load(handle)
-            except FileNotFoundError:
-                return None
-
         try:
-            envelope = self.retry.call(_read, key=f"checkpoint.load:{self.path.name}")
-        except (OSError, ValueError):
+            envelope = read_json(self.path, retry=self.retry, fault=CHECKPOINT_LOAD)
+        except ValueError:
             envelope = None
         if (
             not isinstance(envelope, dict)
@@ -197,8 +171,9 @@ class CheckpointSession:
         The envelope holds the active context providers' states plus
         ``state`` as the leaf (the leaf wins on a stage-name collision,
         e.g. a context re-saving its own phase edge).  The write is
-        atomic (temp + fsync + :func:`os.replace`), retried, and trips
-        the ``checkpoint.save`` fault point.  With ``kill_after`` set,
+        atomic (:func:`repro.durable.write_atomic`), retried, and trips
+        the ``checkpoint.save`` fault point; a persistent failure raises
+        :class:`OSError`.  With ``kill_after`` set,
         raises :class:`SimulatedCrash` once enough boundaries have been
         written — *after* the write, so the crash always leaves a
         durable, restorable file.
@@ -214,19 +189,8 @@ class CheckpointSession:
             "stages": stages,
         }
         payload = json.dumps(envelope)
-
-        def _write() -> None:
-            if FAULTS.armed:
-                FAULTS.trip(CHECKPOINT_SAVE)
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            temporary = self.path.with_name(f"{self.path.name}.tmp-{os.getpid()}")
-            with open(temporary, "w", encoding="utf-8") as handle:
-                handle.write(payload)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(temporary, self.path)
-
-        self.retry.call(_write, key=f"checkpoint.save:{self.path.name}")
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        write_atomic(self.path, payload, retry=self.retry, fault=CHECKPOINT_SAVE)
         self._envelope = envelope
         self.boundaries += 1
         _trace.count("checkpoint.saves")
@@ -304,10 +268,7 @@ class CheckpointStore:
         config: Mapping[str, Any] | str | None = None,
     ) -> Path:
         """On-disk location of one execution's checkpoint (exists or not)."""
-        key = config_key(config)
-        tail = hashlib.sha256(
-            f"{fingerprint}\x00{algorithm}\x00{key}".encode()
-        ).hexdigest()[:24]
+        tail = cell_key(fingerprint, algorithm, config)
         return (
             self.root
             / fingerprint[:2]

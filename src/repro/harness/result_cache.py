@@ -12,8 +12,8 @@ execution records, and any sweep that meets an already-profiled
 The cache is a plain directory of JSON files (default:
 ``benchmarks/results/cache/``), safe to delete at any time and safe to
 share between concurrent processes: entries are written atomically
-(temp file + :func:`os.replace`) and a corrupt or torn entry is treated
-as a miss, never an error.  Only *completed* executions are ever stored —
+(:func:`repro.durable.write_atomic`) and a corrupt entry is treated as a
+miss, never an error.  Only *completed* executions are ever stored —
 TL/ML/ERR cells depend on the budget that produced them, not just on the
 input, and must be recomputed.
 
@@ -35,10 +35,11 @@ from pathlib import Path, PurePath
 from typing import Any, Mapping
 
 from .. import trace as _trace
-from ..faults import FAULTS, RESULT_CACHE_GET, RESULT_CACHE_PUT
+from ..durable import read_json, write_atomic
+from ..faults import RESULT_CACHE_GET, RESULT_CACHE_PUT
 from .retry import RetryPolicy
 
-__all__ = ["ResultCache", "DEFAULT_CACHE_DIR", "config_key"]
+__all__ = ["ResultCache", "DEFAULT_CACHE_DIR", "cell_key", "config_key"]
 
 #: Default on-disk location (relative to the working directory).
 DEFAULT_CACHE_DIR = os.path.join("benchmarks", "results", "cache")
@@ -124,6 +125,16 @@ def config_key(config: Mapping[str, Any] | str | None) -> str:
     )
 
 
+def cell_key(
+    fingerprint: str, algorithm: str, config: Mapping[str, Any] | str | None = None
+) -> str:
+    """Hash of one ``(fingerprint, algorithm, config)`` cell: the file-name
+    tail of its cache entry and of its checkpoint."""
+    return hashlib.sha256(
+        f"{fingerprint}\x00{algorithm}\x00{config_key(config)}".encode()
+    ).hexdigest()[:24]
+
+
 class ResultCache:
     """Directory-backed ``(fingerprint, algorithm, config) -> payload`` map.
 
@@ -153,10 +164,7 @@ class ResultCache:
         config: Mapping[str, Any] | str | None = None,
     ) -> Path:
         """On-disk location of one cache cell (exists or not)."""
-        key = config_key(config)
-        tail = hashlib.sha256(
-            f"{fingerprint}\x00{algorithm}\x00{key}".encode()
-        ).hexdigest()[:24]
+        tail = cell_key(fingerprint, algorithm, config)
         # Two-level fan-out keeps directory listings usable on big caches.
         return self.root / fingerprint[:2] / f"{fingerprint[2:18]}-{tail}.json"
 
@@ -178,24 +186,12 @@ class ResultCache:
         the same cell is a plain missing-file miss).
         """
         path = self.entry_path(fingerprint, algorithm, config)
-
-        def _read() -> dict[str, Any]:
-            if FAULTS.armed:
-                FAULTS.trip(RESULT_CACHE_GET)
-            with open(path, "r", encoding="utf-8") as handle:
-                return json.load(handle)
-
         try:
-            envelope = self.retry.call(_read, key=str(path))
+            envelope = read_json(path, retry=self.retry, fault=RESULT_CACHE_GET)
         except ValueError:
-            # Unparseable JSON: disk corruption or a torn write from a
-            # crashed writer.  Quarantine the evidence so the cell heals.
+            # Unparseable JSON: disk corruption.  Quarantine the evidence
+            # so the cell heals.
             self._quarantine(path)
-            self.misses += 1
-            return None
-        except Exception:
-            # Missing file, exhausted transient I/O retries, injected
-            # faults: all misses, never an exception (module contract).
             self.misses += 1
             return None
         if (
@@ -229,8 +225,9 @@ class ResultCache:
         chain rendering but never a :meth:`get`.
 
         Transient write errors are retried with backoff; a persistent
-        failure raises (callers that must not fail on a broken cache —
-        the framework, the CLI — contain it and trace ``cache.put_failed``).
+        failure raises :class:`OSError` (callers that must not fail on a
+        broken cache — the framework, the CLI — contain it and trace
+        ``cache.put_failed``).
         """
         path = self.entry_path(fingerprint, algorithm, config)
         envelope = {
@@ -242,19 +239,10 @@ class ResultCache:
         }
         if parent_fingerprint is not None:
             envelope["parent_fingerprint"] = parent_fingerprint
-        temporary = path.with_name(f"{path.name}.tmp-{os.getpid()}")
-
-        def _write() -> None:
-            if FAULTS.armed:
-                FAULTS.trip(RESULT_CACHE_PUT)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            with open(temporary, "w", encoding="utf-8") as handle:
-                json.dump(envelope, handle)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(temporary, path)
-
-        self.retry.call(_write, key=str(path))
+        path.parent.mkdir(parents=True, exist_ok=True)
+        write_atomic(
+            path, json.dumps(envelope), retry=self.retry, fault=RESULT_CACHE_PUT
+        )
         self.puts += 1
 
     # -- enumeration ---------------------------------------------------------
@@ -276,9 +264,8 @@ class ResultCache:
                 continue
             for path in sorted(shard.glob("*.json")):
                 try:
-                    with open(path, "r", encoding="utf-8") as handle:
-                        envelope = json.load(handle)
-                except (OSError, ValueError):
+                    envelope = read_json(path)
+                except ValueError:
                     continue
                 if (
                     not isinstance(envelope, dict)

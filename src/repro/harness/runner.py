@@ -30,6 +30,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
 from .. import trace as _trace
+from ..durable import Journal
 from ..guard import Budget
 from ..pli import backend as _pli_backend
 from ..relation import encoded as _storage
@@ -151,99 +152,30 @@ def _label_key(label: object) -> str:
 
 
 class SweepJournal:
-    """Append-only JSONL checkpoint file for crash-safe sweeps.
-
-    Every completed :class:`SweepPoint` is appended (and flushed to disk)
-    the moment it finishes, so a killed sweep loses at most the point it
-    was working on.  On load, a truncated trailing line — the signature of
-    a crash mid-write — is tolerated and simply treated as absent.
-    """
+    """Crash-safe sweep record: one :class:`repro.durable.Journal` line per
+    finished :class:`SweepPoint`, appended the moment it completes, so a
+    killed sweep loses at most the point it was working on.  A torn line
+    reads as absent; a label recorded twice resolves to its last record."""
 
     def __init__(self, path: str | os.PathLike[str]):
         self.path = Path(path)
+        self._journal = Journal(self.path)
 
     def load(self) -> dict[str, SweepPoint]:
         """All finished points keyed by canonical label; ``{}`` if the
         journal does not exist yet."""
         points: dict[str, SweepPoint] = {}
-        if not self.path.exists():
-            return points
-        with open(self.path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                    point = SweepPoint.from_record(record)
-                except (ValueError, KeyError, TypeError):
-                    # Torn write from a crash mid-append: skip the line and
-                    # let the sweep re-run that point.
-                    continue
-                points[_label_key(point.label)] = point
+        for record in self._journal.records():
+            try:
+                point = SweepPoint.from_record(record)
+            except (ValueError, KeyError, TypeError):
+                continue  # a line that parses but is no point record
+            points[_label_key(point.label)] = point
         return points
 
     def append(self, point: SweepPoint) -> None:
-        """Durably record one finished point.
-
-        If the journal's final line was torn by an earlier crash (no
-        trailing newline), a newline is inserted first so the new record
-        never concatenates onto the torn fragment — the fragment stays an
-        isolated unparseable line that :meth:`load` skips, instead of
-        corrupting a *good* record.
-        """
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        record = json.dumps(point.to_record(), default=str)
-        with open(self.path, "a+b") as handle:
-            size = handle.tell()
-            if size > 0:
-                handle.seek(size - 1)
-                if handle.read(1) != b"\n":
-                    handle.write(b"\n")
-            handle.write(record.encode("utf-8") + b"\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-
-    def compact(self) -> int:
-        """Rewrite the journal with one record per label (last write wins,
-        first-seen order), dropping torn lines and superseded duplicates.
-
-        Long-lived journals accumulate duplicates when points are re-run
-        (e.g. after a config fix with ``resume=False`` semantics applied
-        selectively) plus the occasional torn line from a crash.  The
-        rewrite is atomic (temp file + :func:`os.replace`), so a crash
-        mid-compaction leaves the original journal untouched.  Returns
-        the number of lines dropped; 0 for a missing or clean journal.
-        """
-        if not self.path.exists():
-            return 0
-        order: list[str] = []
-        latest: dict[str, SweepPoint] = {}
-        lines = 0
-        with open(self.path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                lines += 1
-                try:
-                    point = SweepPoint.from_record(json.loads(line))
-                except (ValueError, KeyError, TypeError):
-                    continue  # torn line: dropped by the rewrite
-                key = _label_key(point.label)
-                if key not in latest:
-                    order.append(key)
-                latest[key] = point
-        temporary = self.path.with_name(f"{self.path.name}.tmp-{os.getpid()}")
-        with open(temporary, "w", encoding="utf-8") as handle:
-            for key in order:
-                handle.write(
-                    json.dumps(latest[key].to_record(), default=str) + "\n"
-                )
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(temporary, self.path)
-        return lines - len(order)
+        """Durably record one finished point."""
+        self._journal.append(point.to_record())
 
 
 def run_point(

@@ -13,7 +13,6 @@ from .pli import (
     KERNEL_STATS,
     KernelStats,
     PLI,
-    legacy_intersect,
     pli_from_column,
     pli_from_vector,
     value_vector,
@@ -29,7 +28,6 @@ __all__ = [
     "PliStore",
     "RelationIndex",
     "available_backends",
-    "legacy_intersect",
     "numpy_available",
     "pli_from_column",
     "pli_from_vector",

@@ -55,7 +55,6 @@ __all__ = [
     "PLI",
     "KernelStats",
     "KERNEL_STATS",
-    "legacy_intersect",
     "pli_from_column",
     "value_vector",
     "pli_from_vector",
@@ -391,41 +390,6 @@ class PLI:
 
     def __repr__(self) -> str:
         return f"PLI({self.n_clusters} clusters over {self.n_rows} rows)"
-
-
-def legacy_intersect(left: PLI, right: PLI) -> PLI:
-    """The seed kernel's intersection, kept as a differential reference.
-
-    Rebuilds a probe dictionary over the larger side on every call and
-    routes the result through the normalizing public constructor — exactly
-    the behaviour the array-backed kernel replaces.  Used by the
-    differential test suite and ``benchmarks/bench_pli_kernel.py`` to prove
-    the new path produces identical PLIs, faster.
-    """
-    if left.n_rows != right.n_rows:
-        raise ValueError(
-            f"cannot intersect PLIs over {left.n_rows} and {right.n_rows} rows"
-        )
-    small, large = (
-        (left, right)
-        if left.n_clustered_rows <= right.n_clustered_rows
-        else (right, left)
-    )
-    probe: dict[int, int] = {}
-    for cluster_id, cluster in enumerate(large.clusters):
-        for row in cluster:
-            probe[row] = cluster_id
-    result: list[list[int]] = []
-    for cluster in small.clusters:
-        groups: dict[int, list[int]] = {}
-        for row in cluster:
-            other_cluster = probe.get(row)
-            if other_cluster is not None:
-                groups.setdefault(other_cluster, []).append(row)
-        for group in groups.values():
-            if len(group) >= 2:
-                result.append(group)
-    return PLI(result, left.n_rows)
 
 
 def pli_from_column(values: Sequence[Any]) -> PLI:

@@ -24,8 +24,9 @@ under the ``"seconds"`` key, which :func:`structural` strips, and span
 ids can be rebased per captured slice (:class:`capture`), so the traces
 of a serial sweep and of a ``jobs=N`` sweep compare structurally equal.
 
-Like :mod:`repro.guard`, this is a stdlib-only leaf module so the PLI
-kernel and the algorithms can hook in without importing the harness;
+Like :mod:`repro.guard`, this is a leaf module (the standard library
+plus :mod:`repro.durable`) so the PLI kernel and the algorithms can hook
+in without importing the harness;
 :mod:`repro.harness` re-exports ``Tracer`` and ``trace_summary`` for
 harness users.
 """
@@ -36,6 +37,8 @@ import json
 import os
 import time
 from typing import Any, Iterable, Mapping, Sequence
+
+from .durable import write_atomic
 
 __all__ = [
     "Tracer",
@@ -381,14 +384,11 @@ def structural(events: Iterable[Mapping[str, Any]]) -> list[dict[str, Any]]:
 def write_jsonl(
     events: Iterable[Mapping[str, Any]], path: str | os.PathLike[str]
 ) -> int:
-    """Write events one JSON object per line; returns the event count."""
-    written = 0
-    with open(path, "w", encoding="utf-8") as handle:
-        for record in events:
-            handle.write(json.dumps(record, sort_keys=True, default=str))
-            handle.write("\n")
-            written += 1
-    return written
+    """Write events one JSON object per line, replacing ``path``
+    atomically; returns the event count."""
+    lines = [json.dumps(event, sort_keys=True, default=str) + "\n" for event in events]
+    write_atomic(path, lines)
+    return len(lines)
 
 
 def read_jsonl(path: str | os.PathLike[str]) -> list[dict[str, Any]]:

@@ -10,6 +10,8 @@ traversal once per boundary with ``kill_after=k`` (a
 resume, comparing the resumed output against the reference each time.
 """
 
+import errno
+import os
 import random
 
 import pytest
@@ -20,7 +22,7 @@ from repro.algorithms.spider import spider
 from repro.algorithms.tane import tane
 from repro.checkpointing import SimulatedCrash, active_session
 from repro.guard import Budget
-from repro.harness import default_framework
+from repro.harness import RetryPolicy, default_framework
 from repro.harness.checkpoint import CheckpointSession, CheckpointStore
 from repro.pli.store import PliStore
 
@@ -257,6 +259,23 @@ class TestRestartScenarios:
         c = store.path_for("ab" * 32, "hfun", {"seed": 0})
         d = store.path_for("ab" * 32, "muds", {"seed": 1})
         assert len({a, b, c, d}) == 4
+
+    def test_failed_save_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "c.ckpt.json"
+        session = CheckpointSession(path, retry=RetryPolicy(sleep=lambda _: None))
+        session.boundary("stage", {"done": 1})
+
+        def disk_full(fd):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(os, "fsync", disk_full)
+        with pytest.raises(OSError):
+            session.boundary("stage", {"done": 2})
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ckpt.json"]
+        monkeypatch.undo()
+        reader = CheckpointSession(path)
+        assert reader.load()
+        assert reader.resume("stage") == {"done": 1}
 
     def test_corrupt_checkpoint_file_starts_fresh(self, tmp_path):
         framework = default_framework(faithful_muds=False)

@@ -1,12 +1,14 @@
 """Tests for the fingerprint-keyed result cache and Framework integration."""
 
+import errno
 import json
+import os
 from pathlib import Path, PurePosixPath, PureWindowsPath
 
 import pytest
 
 from repro.guard import Budget
-from repro.harness import ResultCache, default_framework
+from repro.harness import ResultCache, RetryPolicy, default_framework
 from repro.harness.result_cache import CACHE_FORMAT_VERSION, config_key
 from repro.relation import Relation
 
@@ -179,8 +181,16 @@ class TestConfigKeyStability:
         path.write_text(json.dumps(envelope), encoding="utf-8")
         assert cache.get(fingerprint, "muds") is None
 
-    def test_no_temp_files_left_behind(self, cache):
+    def test_no_temp_files_left_behind(self, cache, monkeypatch):
         cache.put("56" * 32, "muds", {"v": 1})
+        # A write whose fsync keeps failing raises and cleans up too.
+        def disk_full(fd):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        cache.retry = RetryPolicy(sleep=lambda _: None)
+        monkeypatch.setattr(os, "fsync", disk_full)
+        with pytest.raises(OSError):
+            cache.put("78" * 32, "muds", {"v": 2})
         leftovers = [
             p for p in cache.root.rglob("*") if p.is_file() and "tmp" in p.name
         ]

@@ -18,7 +18,9 @@ from repro.faults import (
     FAULTS,
     FaultInjected,
 )
-from repro.harness.checkpoint import CheckpointSession
+from repro.datasets import load
+from repro.harness import default_framework
+from repro.harness.checkpoint import CheckpointSession, CheckpointStore
 from repro.harness.result_cache import ResultCache
 from repro.harness.retry import RetryPolicy, default_classify
 
@@ -161,6 +163,28 @@ class TestFaultPointAbsorption:
         # Every attempt faults: the module contract says miss, not raise.
         assert cache.get("ab" * 32, "muds", {"seed": 0}) is None
         assert cache.stats()["misses"] == 1
+
+    @pytest.mark.parametrize("point", [CHECKPOINT_LOAD, RESULT_CACHE_PUT])
+    def test_exhausted_store_fault_is_contained_by_the_run(
+        self, point, tmp_path
+    ):
+        # Every attempt faults: an unreadable checkpoint is absent and a
+        # failed cache store is traced, but the run itself completes.
+        relation = load("iris", n_rows=40)
+        reference = default_framework().run("hfun", relation)
+        stores = {
+            CHECKPOINT_LOAD: {
+                "checkpoints": CheckpointStore(tmp_path, retry=quiet_policy())
+            },
+            RESULT_CACHE_PUT: {
+                "cache": ResultCache(tmp_path, retry=quiet_policy())
+            },
+        }
+        FAULTS.arm_seeded(point, probability=1.0)
+        execution = default_framework().run("hfun", relation, **stores[point])
+        assert FAULTS.fired(point) == 3
+        assert execution.ok
+        assert execution.result.same_metadata(reference.result)
 
     def test_checkpoint_save_recovers(self, tmp_path):
         session = CheckpointSession(

@@ -101,7 +101,7 @@ class TestJournal:
 
 
 class TestJournalLongevity:
-    """Long-lived journals: torn-line healing, duplicates, compaction."""
+    """Long-lived journals: torn-line healing, duplicates."""
 
     def test_append_heals_a_torn_final_line(self, tmp_path):
         path = tmp_path / "sweep.jsonl"
@@ -127,32 +127,6 @@ class TestJournalLongevity:
         assert len(loaded) == 1
         (restored,) = loaded.values()
         assert restored.error is None
-
-    def test_compact_drops_torn_lines_and_superseded_duplicates(
-        self, tmp_path
-    ):
-        path = tmp_path / "sweep.jsonl"
-        journal = SweepJournal(path)
-        journal.append(SweepPoint(label=1, error="old"))
-        journal.append(SweepPoint(label=2))
-        journal.append(SweepPoint(label=1))  # supersedes the first record
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"torn mid-wri')
-        dropped = journal.compact()
-        assert dropped == 2  # one duplicate + one torn line
-        lines = path.read_text(encoding="utf-8").splitlines()
-        assert len(lines) == 2
-        loaded = journal.load()
-        assert sorted(p.label for p in loaded.values()) == [1, 2]
-        assert all(p.error is None for p in loaded.values())
-        # First-seen label order is preserved by the rewrite.
-        assert [json.loads(line)["label"] for line in lines] == [1, 2]
-
-    def test_compact_on_missing_or_clean_journal_is_a_no_op(self, tmp_path):
-        journal = SweepJournal(tmp_path / "absent.jsonl")
-        assert journal.compact() == 0
-        journal.append(SweepPoint(label=1))
-        assert journal.compact() == 0
 
 
 class TestResume:

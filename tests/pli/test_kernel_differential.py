@@ -5,7 +5,7 @@ workload generators in :mod:`repro.datasets.generators`:
 
 1. the probe-vector ``intersect`` path produces PLIs identical to the
    seed kernel's cluster-set path (kept as
-   :func:`repro.pli.legacy_intersect`), and ``refines`` agrees with the
+   :func:`repro.algorithms.naive.legacy_intersect`), and ``refines`` agrees with the
    Lemma-1 cardinality formulation on the same inputs — on *every*
    available kernel backend (python, and numpy when installed) under
    *every* column-storage mode (encoded / mmap);
@@ -24,6 +24,7 @@ import itertools
 import pytest
 
 from repro.algorithms.fun import fun
+from repro.algorithms.naive import legacy_intersect
 from repro.algorithms.tane import tane
 from repro.core.muds import Muds
 from repro.datasets.generators import ionosphere_like, ncvoter_like, uniprot_like
@@ -32,7 +33,6 @@ from repro.pli import (
     PliStore,
     RelationIndex,
     available_backends,
-    legacy_intersect,
     numpy_available,
     use_backend,
 )

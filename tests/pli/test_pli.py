@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.algorithms.naive import legacy_intersect
 from repro.pli import (
     KERNEL_STATS,
     PLI,
     available_backends,
-    legacy_intersect,
     pli_from_column,
     pli_from_vector,
     use_backend,
