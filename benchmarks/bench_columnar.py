@@ -132,14 +132,13 @@ def child_cells(spec: dict) -> dict:
     as ingest), and cells group value tuples with ``pli_from_column``."""
     from repro.pli import RelationIndex, use_backend
     from repro.pli.pli import pli_from_column
-    from repro.relation import encoded as storage
     from repro.relation import read_csv
 
     baseline = spec["mode"] == "objects"
     storage_mode = "encoded" if baseline else spec["mode"]
-    with storage.use_storage(storage_mode), use_backend(spec["backend"]):
+    with use_backend(spec["backend"]):
         started = time.perf_counter()
-        relation = read_csv(spec["csv"])
+        relation = read_csv(spec["csv"], storage=storage_mode)
         fingerprint = relation.fingerprint()
         if baseline:
             values = [tuple(relation.column(c)) for c in range(relation.n_columns)]
@@ -202,12 +201,11 @@ def child_out_of_core(spec: dict) -> dict:
     10M-row relation one retained composite is hundreds of MiB of boxed
     cluster tuples."""
     from repro.pli import RelationIndex, use_backend
-    from repro.relation import encoded as storage
     from repro.relation import read_csv
 
-    with storage.use_storage(spec["mode"]), use_backend(spec["backend"]):
+    with use_backend(spec["backend"]):
         started = time.perf_counter()
-        relation = read_csv(spec["csv"])
+        relation = read_csv(spec["csv"], storage=spec["mode"])
         fingerprint = relation.fingerprint()
         ingest_seconds = time.perf_counter() - started
 

@@ -60,8 +60,8 @@ from .harness.signals import EXIT_INTERRUPTED, Interrupted, graceful_shutdown
 from .metadata.results import ProfilingResult
 from .metadata.serialize import dumps
 from .pli import backend as _pli_backend
-from .relation import encoded as _storage
 from .relation.csv_io import read_csv
+from .relation.encoded import STORAGE_MODES, EncodedColumn, encode_column
 from .relation.relation import Relation
 
 __all__ = [
@@ -166,7 +166,8 @@ def _budget_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _substrate_options(parser: argparse.ArgumentParser) -> None:
-    """PLI kernel backend and column-storage mode (armed by :func:`_parse`)."""
+    """PLI kernel backend (armed by :func:`_parse`) and column-storage
+    mode (passed to the CSV read)."""
     parser.add_argument(
         "--pli-backend",
         choices=("python", "numpy"),
@@ -178,14 +179,13 @@ def _substrate_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--storage",
-        choices=_storage.STORAGE_MODES,
+        choices=STORAGE_MODES,
         default=None,
         help="column-storage mode for the PLI substrate: 'encoded' "
         "(dictionary-encoded int32 code arrays in memory, the default) or "
         "'mmap' (the codes spilled to memory-mapped files under "
         "$REPRO_SPILL_DIR so relations larger than RAM profile within a "
-        "bounded footprint). Results are bit-identical in both modes. "
-        "Defaults to $REPRO_STORAGE, or 'encoded' when unset",
+        "bounded footprint). Results are bit-identical in both modes",
     )
 
 
@@ -237,11 +237,10 @@ def _parse(
     """Parse ``argv`` and settle what must hold before any input is read.
 
     Rejects a numeric option below its :data:`_MINIMUM` and arms the
-    requested PLI kernel backend and storage mode process-wide, so an
-    unusable request fails the run up front instead of silently
-    profiling on another kernel (and a CSV read streams straight into
-    the requested representation).  A failure prints an ``error:`` line
-    and returns ``None``: the caller exits with status 2.
+    requested PLI kernel backend process-wide, so an unusable request
+    fails the run up front instead of silently profiling on another
+    kernel.  A failure prints an ``error:`` line and returns ``None``:
+    the caller exits with status 2.
     """
     args = parser.parse_args(argv)
     try:
@@ -252,13 +251,7 @@ def _parse(
                 raise ValueError(f"{flag} must be >= {minimum}, got {value}")
         if getattr(args, "pli_backend", None) is not None:
             _pli_backend.set_backend(args.pli_backend)
-        if getattr(args, "storage", None) is not None:
-            _storage.set_storage(args.storage)
-    except (
-        ValueError,
-        _pli_backend.BackendUnavailable,
-        _storage.StorageUnavailable,
-    ) as error:
+    except (ValueError, _pli_backend.BackendUnavailable) as error:
         print(f"error: {error}", file=sys.stderr)
         return None
     return args
@@ -302,9 +295,16 @@ def _start_trace(args: argparse.Namespace):
 
 
 def _write_trace(tracer, path: str | None, summary: bool = False) -> None:
-    """Write the trace as JSONL; with ``summary`` print the per-phase table."""
+    """Write the trace as JSONL; with ``summary`` print the per-phase table.
+
+    Counts made outside every span (the CSV read and its encoding run
+    before the profile opens one) are written as counter events, one per
+    name, so the file holds them too.
+    """
     if tracer is None or path is None:
         return
+    for name, value in sorted(tracer.counters.items()):
+        tracer.counter(name, value)
     try:
         written = _trace.write_jsonl(tracer.events, path)
     except OSError as error:
@@ -427,23 +427,46 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args: argparse.Namespace) -> Relation:
+    storage = args.storage or "encoded"
     if args.dataset:
         from .datasets.registry import load
 
         relation = load(args.dataset, n_rows=args.max_rows, seed=args.seed)
     else:
         relation = read_csv(
-            args.csv, delimiter=args.delimiter, has_header=not args.no_header
+            args.csv,
+            delimiter=args.delimiter,
+            has_header=not args.no_header,
+            storage=storage,
         )
         if args.max_rows is not None:
             relation = relation.head(args.max_rows)
     if not args.keep_duplicates:
         relation = relation.deduplicated()
-    # head()/deduplicated() re-materialize object columns when they
-    # actually drop rows; restore the encoded substrate before any index
-    # is built (a no-op when the encodings survived).
-    _storage.encode_relation(relation)
-    return relation
+    return _encoded_in(relation, storage)
+
+
+def _encoded_in(relation: Relation, storage: str) -> Relation:
+    """``relation`` with every column encoded in ``storage``.
+
+    A built-in dataset holds values, and ``head()``/``deduplicated()``
+    return values when they drop rows; those columns are encoded here,
+    so the profile reads its codes from where ``--storage`` put them.
+    Columns the CSV read encoded already are kept.
+    """
+    columns = [relation.column(i) for i in range(relation.n_columns)]
+    if all(isinstance(column, EncodedColumn) for column in columns):
+        return relation
+    return Relation(
+        relation.column_names,
+        [
+            column
+            if isinstance(column, EncodedColumn)
+            else encode_column(column, storage=storage)
+            for column in columns
+        ],
+        name=relation.name,
+    )
 
 
 def _print_text_report(result, stats_lines: list[str]) -> None:
@@ -642,7 +665,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         "as_published": args.as_published,
         "sampling": args.sampling,
         "pli_backend": _pli_backend.ACTIVE.name,
-        "storage": _storage.ACTIVE,
+        "storage": args.storage or "encoded",
     }
     checkpoint_dir = _checkpoint_dir(args)
     incremental = None
@@ -972,6 +995,7 @@ def watch_main(argv: Sequence[str]) -> int:
                 once=args.once,
                 max_batches=args.max_batches,
                 on_update=on_update,
+                storage=args.storage or "encoded",
             )
     except (OSError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)

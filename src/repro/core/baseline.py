@@ -77,7 +77,9 @@ def _baseline_task(
     boundary carries exactly what the parent assembles into a
     :class:`ProfilingResult`.
     """
-    store = PliStore(sampling=sampling, pli_backend=pli_backend)
+    if pli_backend is not None:
+        _backend.set_backend(pli_backend)
+    store = PliStore(sampling=sampling)
     index = store.index_for(relation)
     out: dict[str, Any] = {"task": task, "status": "ok", "error": None}
     started = time.perf_counter()

@@ -14,7 +14,6 @@ from .. import trace as _trace
 from ..metadata.results import ProfilingResult
 from ..pli import backend as _backend
 from ..pli.store import PliStore
-from ..relation import encoded as _encoded
 from ..relation.relation import Relation
 from ..sampling import SamplingConfig
 from .baseline import BaselineProfiler
@@ -45,8 +44,6 @@ def profile(
     verify_completeness: bool = True,
     jobs: int | None = None,
     sampling: SamplingConfig | bool | None = None,
-    pli_backend: str | None = None,
-    storage: str | None = None,
 ) -> ProfilingResult:
     """Discover all unary INDs, minimal UCCs, and minimal FDs of a relation.
 
@@ -74,19 +71,11 @@ def profile(
         default two-stage validation (row-sample refutation before exact
         PLI checks — results stay exact either way), ``False`` disables
         it, a :class:`~repro.sampling.SamplingConfig` tunes it.
-    pli_backend:
-        Kernel backend for this call's PLI operations (``"python"`` /
-        ``"numpy"``); ``None`` keeps the process's armed backend.  The
-        discovered metadata is bit-identical across backends — only the
-        kernel's speed changes.  Scoped: the previous backend is restored
-        on return.
-    storage:
-        Column-storage mode for this call's PLI substrate
-        (``"encoded"`` keeps column codes in memory, ``"mmap"`` in spill
-        files); ``None`` keeps the process's armed mode (default
-        ``encoded``, or ``$REPRO_STORAGE``).  Metadata and counters are
-        bit-identical across modes — only memory residency and speed
-        change.  Scoped like ``pli_backend``.
+
+    The PLIs are built from the columns' codes wherever those live: a
+    relation ``read_csv(storage="mmap")`` built keeps them in spill
+    files, any other is encoded in memory.  The kernel backend is the
+    process's armed one (:func:`repro.pli.use_backend`).
 
     Returns
     -------
@@ -97,16 +86,13 @@ def profile(
         raise ValueError(f"unknown algorithm {algorithm!r}; pick one of {ALGORITHMS}")
     if algorithm == "auto":
         algorithm = choose_algorithm(relation)
-    with _backend.use_backend(pli_backend), _encoded.use_storage(
-        storage
-    ), _trace.span(
+    with _trace.span(
         "profile",
         algorithm=algorithm,
         dataset=relation.name,
         columns=relation.n_columns,
         rows=relation.n_rows,
         pli_backend=_backend.ACTIVE.name,
-        storage=_encoded.ACTIVE,
     ):
         return _dispatch(
             relation,

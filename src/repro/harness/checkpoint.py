@@ -97,6 +97,8 @@ class CheckpointSession:
         self.retry = retry if retry is not None else DEFAULT_RETRY
         self.boundaries = 0
         self.restored = False
+        #: A save failed past its retries; later boundaries are not saved.
+        self.save_failed = False
         self._envelope: dict[str, Any] | None = None
         self._providers: list[tuple[str, Callable[[], dict[str, Any]]]] = []
 
@@ -172,12 +174,16 @@ class CheckpointSession:
         ``state`` as the leaf (the leaf wins on a stage-name collision,
         e.g. a context re-saving its own phase edge).  The write is
         atomic (:func:`repro.durable.write_atomic`), retried, and trips
-        the ``checkpoint.save`` fault point; a persistent failure raises
-        :class:`OSError`.  With ``kill_after`` set,
-        raises :class:`SimulatedCrash` once enough boundaries have been
-        written — *after* the write, so the crash always leaves a
-        durable, restorable file.
+        the ``checkpoint.save`` fault point.  A write that still fails
+        after its retries is traced as ``checkpoint.save_failed`` and
+        ends saving for the rest of the session: the file only serves a
+        later restart, so the run itself carries on without it.  With
+        ``kill_after`` set, raises :class:`SimulatedCrash` once enough
+        boundaries have been written — *after* the write, so the crash
+        always leaves a durable, restorable file.
         """
+        if self.save_failed:
+            return
         stages: dict[str, Any] = {}
         for context_stage, provider in self._providers:
             stages[context_stage] = provider()
@@ -189,8 +195,13 @@ class CheckpointSession:
             "stages": stages,
         }
         payload = json.dumps(envelope)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        write_atomic(self.path, payload, retry=self.retry, fault=CHECKPOINT_SAVE)
+        try:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            write_atomic(self.path, payload, retry=self.retry, fault=CHECKPOINT_SAVE)
+        except OSError as error:
+            self.save_failed = True
+            _trace.event("checkpoint.save_failed", stage=stage, error=str(error))
+            return
         self._envelope = envelope
         self.boundaries += 1
         _trace.count("checkpoint.saves")

@@ -40,7 +40,6 @@ from ..metadata.results import ProfilingResult, fd_signature, ucc_signature
 from ..metadata.serialize import result_from_dict, result_to_dict
 from ..pli import backend as _backend
 from ..pli.pli import KERNEL_STATS
-from ..relation import encoded as _encoded
 from ..relation.relation import Relation
 from ..sampling import SamplingConfig
 from .result_cache import ResultCache
@@ -388,7 +387,6 @@ class Framework:
                 columns=relation.n_columns,
                 rows=relation.n_rows,
                 pli_backend=_backend.ACTIVE.name,
-                storage=_encoded.ACTIVE,
             )
             if tracer is not None
             else _trace.NULL_SPAN
@@ -506,8 +504,6 @@ def default_framework(
     seed: int = 0,
     faithful_muds: bool = True,
     sampling: "SamplingConfig | bool | None" = None,
-    pli_backend: str | None = None,
-    storage: str | None = None,
 ) -> Framework:
     """Framework with the paper's four contenders registered.
 
@@ -515,22 +511,10 @@ def default_framework(
     (``verify_completeness=False``) used for benchmark comparisons; pass
     ``False`` to benchmark the exactness-certifying default instead.
     ``sampling`` configures every contender's refutation engine uniformly
-    (``None``/``True`` default on, ``False`` off).  ``pli_backend`` arms a
-    PLI kernel backend process-wide (``"python"``/``"numpy"``; ``None``
-    keeps the currently armed one) — the results are bit-identical either
-    way, only the kernel's speed changes.  ``storage`` likewise arms a
-    column-storage mode process-wide (``"encoded"`` keeps column codes
-    in memory, ``"mmap"`` in spill files; ``None`` keeps the armed one):
-    metadata and counters are identical across modes, only memory
-    residency and speed change.
+    (``None``/``True`` default on, ``False`` off).
     """
     from ..algorithms.tane import TaneResult, tane
     from ..pli.store import PliStore
-
-    if pli_backend is not None:
-        _backend.set_backend(pli_backend)
-    if storage is not None:
-        _encoded.set_storage(storage)
 
     class _TaneProfiler:
         """TANE wrapped as a (FD-only) profiler for Table 3 comparisons."""

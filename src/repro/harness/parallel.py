@@ -50,7 +50,6 @@ from .. import liveness as _liveness
 from .. import trace as _trace
 from ..guard import Budget
 from ..pli import backend as _backend
-from ..relation import encoded as _encoded
 from ..relation.relation import Relation
 from .framework import Framework, default_framework
 from .checkpoint import CheckpointStore
@@ -165,11 +164,6 @@ class PointTask:
     #: selection is process-global, so the parent's choice must travel
     #: explicitly — a spawned worker does not inherit it.
     pli_backend: str | None = None
-    #: Column-storage mode to arm in the worker before executing the
-    #: point (``None`` keeps the worker's import-time default).  Same
-    #: rationale as ``pli_backend``: the mode is process-global and must
-    #: travel explicitly across a spawn boundary.
-    storage: str | None = None
     #: Directory of per-pid liveness files for the parent's hung-worker
     #: watchdog (``None`` leaves the worker silent); filled in by
     #: :func:`run_sweep_points` when a watchdog grace is armed.
@@ -185,9 +179,9 @@ def execute_point_record(task: PointTask) -> dict[str, Any]:
     """Worker entry point: run one sweep point, return its serialized
     :class:`~repro.harness.runner.SweepPoint` record.
 
-    Arms what the parent armed (kernel backend, storage mode, tracer,
-    heartbeat), rebuilds the framework, result cache and checkpoint store
-    from the task, and runs the point through
+    Arms what the parent armed (kernel backend, tracer, heartbeat),
+    rebuilds the framework, result cache and checkpoint store from the
+    task, and runs the point through
     :func:`~repro.harness.runner.run_point`, the loop a serial sweep
     runs.  Runs inside the worker process.
     """
@@ -207,10 +201,6 @@ def execute_point_record(task: PointTask) -> dict[str, Any]:
             # unusable explicit choice should fail the point loudly rather
             # than let workers silently compute on a different kernel.
             _backend.set_backend(task.pli_backend)
-        if task.storage is not None:
-            # Same contract for the storage mode: the worker's substrate
-            # must encode exactly like the parent's would have.
-            _encoded.set_storage(task.storage)
         if task.trace and _trace.ACTIVE is None:
             # The parent was tracing when it built the task; bring this
             # worker's process-local tracer up so the point's events exist

@@ -33,7 +33,6 @@ from .. import trace as _trace
 from ..durable import Journal
 from ..guard import Budget
 from ..pli import backend as _pli_backend
-from ..relation import encoded as _storage
 from ..relation.relation import Relation
 from .framework import (
     Execution,
@@ -417,7 +416,6 @@ class ExperimentRunner:
                 cache_config=cache_config,
                 trace=_trace.ACTIVE is not None,
                 pli_backend=_pli_backend.ACTIVE.name,
-                storage=_storage.ACTIVE,
                 checkpoint_root=str(checkpoints.root) if checkpoints else None,
             )
             for label in pending

@@ -42,6 +42,7 @@ def watch_directory(
     once: bool = False,
     max_batches: int | None = None,
     on_update: Callable[[Path, Relation, ProfilingResult], Any] | None = None,
+    storage: str = "encoded",
 ) -> list[tuple[str, ProfilingResult]]:
     """Profile ``directory``'s CSVs as one relation growing by appends.
 
@@ -50,7 +51,10 @@ def watch_directory(
     column names under ``has_header``, same width otherwise).  With
     neither ``once`` nor ``max_batches`` the watcher polls forever every
     ``interval`` seconds; interrupt handling is the caller's concern
-    (the CLI runs it under ``graceful_shutdown``).
+    (the CLI runs it under ``graceful_shutdown``).  Files are read in
+    the ``storage`` mode (:func:`~repro.relation.csv_io.read_csv`), so
+    the base relation's columns, and the rows appended to them, keep
+    their codes there.
     """
     root = Path(directory)
     if not root.is_dir():
@@ -71,7 +75,10 @@ def watch_directory(
         for path in arrived:
             processed.add(path.name)
             batch = read_csv(
-                str(path), delimiter=delimiter, has_header=has_header
+                str(path),
+                delimiter=delimiter,
+                has_header=has_header,
+                storage=storage,
             )
             if relation is None:
                 relation = batch

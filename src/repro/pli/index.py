@@ -25,7 +25,6 @@ from collections.abc import Sequence
 from typing import Any
 
 from ..guard import checkpoint
-from ..relation import encoded as _encoded
 from ..relation.columnset import bit, iter_bits, lowest_bit
 from ..relation.relation import Relation
 from ..sampling import SamplingConfig, ValidationPlanner, resolve_sampling
@@ -88,13 +87,12 @@ class RelationIndex:
         self._pending_merges: dict[int, tuple[PLI, tuple[int, ...]]] = {}
         self._pending_colliders: list[dict[int, tuple[int, ...]]] = []
 
-        # In-memory relations (generators, tests) gain dictionary
-        # encodings here; CSV-read relations already carry them.  Codes
-        # are first-seen ordered, so the code array is the dense value
-        # vector, the dictionary is the duplicate-free value list, and
-        # code-grouped clusters are already canonical — one integer pass
-        # per column, no per-value hashing.
-        _encoded.encode_relation(relation)
+        # Columns of in-memory relations (generators, tests) are encoded
+        # on this first request; CSV-read columns are encoded already.
+        # Codes are first-seen ordered, so the code array is the dense
+        # value vector, the dictionary is the duplicate-free value list,
+        # and code-grouped clusters are already canonical — one integer
+        # pass per column, no per-value hashing.
         for column_index in range(self.n_columns):
             encoding = relation.encoding(column_index)
             clusters, np_state = kernel_backend.column_pli_from_codes(

@@ -23,7 +23,6 @@ from typing import Any
 
 from .. import trace as _trace
 from ..faults import FAULTS, INCREMENTAL_APPEND
-from ..relation import encoded as _encoded
 from ..relation.relation import Relation
 from ..sampling import SamplingConfig
 from . import backend as _backend
@@ -45,36 +44,15 @@ class PliStore:
     sampling:
         Sampling-driven refutation configuration forwarded to every index
         (``None``/``True`` for the default engine, ``False`` to disable).
-    pli_backend:
-        Kernel backend this store's substrate runs on (``"python"`` /
-        ``"numpy"``).  Backend selection is process-global
-        (:mod:`repro.pli.backend`), so passing a name here *arms* that
-        backend for the process — the idiom the parallel layer uses to
-        give every worker the sweep's backend.  ``None`` keeps whatever
-        is armed (the environment default).
-    storage:
-        Where the substrate keeps column codes (``"encoded"`` in memory,
-        ``"mmap"`` in spill files).  Process-global like
-        ``pli_backend``; ``None`` keeps the armed mode.
     """
 
     def __init__(
         self,
         cache_capacity: int = 4096,
         sampling: SamplingConfig | bool | None = None,
-        pli_backend: str | None = None,
-        storage: str | None = None,
     ):
         self.cache_capacity = cache_capacity
         self.sampling = sampling
-        if pli_backend is not None:
-            _backend.set_backend(pli_backend)
-        if storage is not None:
-            _encoded.set_storage(storage)
-        #: Name of the kernel backend armed when this store was created.
-        self.pli_backend = _backend.ACTIVE.name
-        #: Storage mode armed when this store was created.
-        self.storage = _encoded.ACTIVE
         self._indexes: dict[str, tuple[Relation, RelationIndex]] = {}
         #: Index builds performed (one per distinct relation seen).
         self.builds = 0
@@ -110,7 +88,6 @@ class PliStore:
             columns=relation.n_columns,
             rows=relation.n_rows,
             backend=_backend.ACTIVE.name,
-            storage=_encoded.ACTIVE,
         ):
             index = RelationIndex(
                 relation,

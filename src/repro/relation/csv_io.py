@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import TextIO
 
 from ..faults import CSV_READ, FAULTS
-from .encoded import _BLOCK_ROWS, ColumnEncoder
+from .encoded import _BLOCK_ROWS, ColumnEncoder, resolve_storage
 from .relation import (
     Relation,
     SchemaError,
@@ -41,13 +41,14 @@ def read_csv(
     has_header: bool = True,
     null_values: Iterable[str] = DEFAULT_NULLS,
     name: str | None = None,
+    storage: str = "encoded",
 ) -> Relation:
     """Read a CSV file (or open handle) into a :class:`Relation`.
 
     The read is a **single streaming pass** shared by two consumers
     (paper §3's "one shared I/O" argument, taken literally): the decoded
-    values are (a) dictionary-encoded into the active storage mode's code
-    arrays, whose :class:`~repro.relation.encoded.EncodedColumn` objects
+    values are (a) dictionary-encoded into code arrays in the ``storage``
+    mode, whose :class:`~repro.relation.encoded.EncodedColumn` objects
     become the relation's columns, and (b) streamed through a per-column
     fingerprint hasher, so :meth:`Relation.fingerprint` — the
     result-cache key — is already computed when the function returns.
@@ -82,7 +83,13 @@ def read_csv(
         characters.
     name:
         Relation label; defaults to the file stem (or ``"relation"``).
+    storage:
+        Where the columns keep their codes: ``"encoded"`` in memory,
+        ``"mmap"`` in memory-mapped spill files.  An unknown mode raises
+        :class:`~repro.relation.encoded.StorageUnavailable` before
+        anything is read.
     """
+    storage = resolve_storage(storage)
     if isinstance(source, (str, Path)):
         path = Path(source)
         # utf-8-sig: a UTF-8 BOM (as written by Excel and many Windows
@@ -95,6 +102,7 @@ def read_csv(
                 has_header=has_header,
                 null_values=null_values,
                 name=name or path.stem,
+                storage=storage,
             )
 
     # A bare string is a single NULL marker, not an iterable of
@@ -121,7 +129,7 @@ def read_csv(
     width = len(header)
 
     hashers = [_column_hasher(str(column_name)) for column_name in header]
-    encoders = [ColumnEncoder(nulls=nulls) for _ in range(width)]
+    encoders = [ColumnEncoder(storage, nulls=nulls) for _ in range(width)]
     # One token per dictionary entry, built when the value is first seen.
     tokens: list[list[bytes]] = [[] for _ in range(width)]
 

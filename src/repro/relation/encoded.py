@@ -18,13 +18,15 @@ the NumPy backend's argsort grouping, which consumes the code buffer
 zero-copy via ``np.frombuffer``).
 
 Every column reaches the PLI substrate as codes.  Two **storage modes**
-decide where the codes live, selected process-globally like the PLI
-kernel backend (``--storage`` / ``$REPRO_STORAGE`` /
-:func:`set_storage` / :func:`use_storage`):
+decide where the codes live.  The mode is a property of each column,
+chosen where the column is built: ``read_csv(storage=)`` (and the CLI's
+``--storage``, which passes it there), or :func:`encode_column` /
+:class:`ColumnEncoder`.  A column built from in-memory values is encoded
+in memory the first time something needs its codes
+(:meth:`~repro.relation.relation.Relation.encoding`).
 
 * ``encoded`` — the default: code arrays live in ``array('i')`` buffers
-  (stdlib only, the zero-dependency promise).  This is the mode every
-  pipeline runs on unless told otherwise.
+  (stdlib only, the zero-dependency promise).
 * ``mmap`` — the out-of-core mode: code arrays are spilled to
   memory-mapped files under a spill directory
   (``$REPRO_SPILL_DIR`` or the system temp dir), so the resident cost of
@@ -43,18 +45,20 @@ value vectors, and distinct-value lists derived from codes are
 bit-identical to grouping the values themselves — the differential
 suite pins both modes against the value-grouping reference
 (:func:`repro.pli.pli.pli_from_column` /
-:func:`~repro.pli.pli.value_vector`).
+:func:`~repro.pli.pli.value_vector`).  Values are identified by
+equality, as the PLIs identify them: a column holding ``1`` and ``True``
+holds one value, and its encoding shows the first one seen.
 """
 
 from __future__ import annotations
 
 import io
 import mmap
+import operator
 import os
 import tempfile
 import weakref
 from array import array
-from contextlib import contextmanager
 from itertools import filterfalse, islice
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -62,8 +66,6 @@ from .. import trace as _trace
 from ..faults import FAULTS, STORAGE_SPILL
 
 __all__ = [
-    "ACTIVE",
-    "ENV_VAR",
     "SPILL_DIR_ENV",
     "STORAGE_MODES",
     "CODE_BYTES",
@@ -71,17 +73,11 @@ __all__ = [
     "ColumnEncoder",
     "EncodedColumn",
     "StorageUnavailable",
-    "active_storage",
     "encode_column",
-    "encode_relation",
     "resolve_storage",
-    "set_storage",
     "spill_directory",
-    "use_storage",
 ]
 
-#: Environment variable naming the default storage mode for the process.
-ENV_VAR = "REPRO_STORAGE"
 #: Environment variable overriding the spill directory for ``mmap`` mode.
 SPILL_DIR_ENV = "REPRO_SPILL_DIR"
 
@@ -119,68 +115,6 @@ def resolve_storage(choice: str | None) -> str:
     return name
 
 
-def _from_environment() -> str:
-    """Import-time default: ``$REPRO_STORAGE`` or ``encoded``.
-
-    Like the kernel backend's environment path, an unusable value warns
-    and degrades instead of poisoning every import of the package.
-    """
-    choice = os.environ.get(ENV_VAR)
-    if not choice:
-        return "encoded"
-    try:
-        return resolve_storage(choice)
-    except StorageUnavailable as error:
-        import warnings
-
-        warnings.warn(
-            f"{ENV_VAR}={choice!r} ignored ({error}); "
-            "falling back to the encoded storage mode",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return "encoded"
-
-
-#: The process-wide active storage mode (read at ingest time by
-#: ``read_csv``, ``encode_relation``, and ``RelationIndex``).
-ACTIVE: str = _from_environment()
-
-
-def active_storage() -> str:
-    """The storage mode currently armed for the process."""
-    return ACTIVE
-
-
-def set_storage(choice: str | None) -> str:
-    """Arm a storage mode process-wide and return its name.
-
-    ``None`` re-resolves the environment default.  Raises
-    :class:`StorageUnavailable` for an unknown explicit choice, leaving
-    the previously armed mode in place.
-    """
-    global ACTIVE
-    mode = _from_environment() if choice is None else resolve_storage(choice)
-    ACTIVE = mode
-    return mode
-
-
-@contextmanager
-def use_storage(choice: str | None) -> Iterator[str]:
-    """Scoped storage-mode selection (tests, the ``profile()`` facade).
-    ``None`` keeps the currently armed mode — a no-op context."""
-    global ACTIVE
-    if choice is None:
-        yield ACTIVE
-        return
-    previous = ACTIVE
-    ACTIVE = resolve_storage(choice)
-    try:
-        yield ACTIVE
-    finally:
-        ACTIVE = previous
-
-
 def spill_directory(override: str | None = None) -> str:
     """Resolve the spill directory for ``mmap``-mode code files.
 
@@ -196,10 +130,11 @@ class EncodedColumn:
     """One dictionary-encoded column: dense codes plus a dictionary.
 
     Behaves like the tuple of values it encodes — ``len``, indexing,
-    slicing, iteration, equality, and hashing all see decoded values —
-    so a :class:`~repro.relation.relation.Relation` can hold it in place
-    of an object column.  The profiling substrate bypasses the decoded
-    view entirely and reads :attr:`codes` / :attr:`dictionary` directly.
+    slicing, iteration, ``count``, ``index``, equality, and hashing all
+    see decoded values — so a :class:`~repro.relation.relation.Relation`
+    can hold it in place of a tuple of values.  The profiling substrate
+    bypasses the decoded view entirely and reads :attr:`codes` /
+    :attr:`dictionary` directly.
 
     ``codes`` is an ``array('i')`` (``encoded`` mode) or a ``memoryview``
     over a memory-mapped spill file (``mmap`` mode); both subscript to
@@ -234,10 +169,9 @@ class EncodedColumn:
         self._mmap = mapped
         self._hash: int | None = None
         self._positions: dict[Any, int] | None = None
-        #: Relation columns holding this encoding (as the column itself or
-        #: as its sidecar).  Appends grow it in place, so a relation
-        #: appending to an encoding with more than one holder copies it
-        #: first (``Relation._unshare``).
+        #: Relation columns holding this encoding.  Appends grow it in
+        #: place, so a relation appending to an encoding with more than
+        #: one holder copies it first (``Relation._unshare``).
         self.holders = 0
         # Spill-file lifecycle: the file exists exactly as long as some
         # column reads it; collection closes the map and unlinks.
@@ -277,6 +211,14 @@ class EncodedColumn:
             return self.codes
         return self.codes.tolist()
 
+    def _code_positions(self) -> dict[Any, int]:
+        """Value -> code map of the dictionary, built on first use."""
+        if self._positions is None:
+            self._positions = {
+                value: code for code, value in enumerate(self.dictionary)
+            }
+        return self._positions
+
     # -- appends -----------------------------------------------------------
 
     def append_values(self, values: Sequence[Any]) -> list[int]:
@@ -289,13 +231,7 @@ class EncodedColumn:
         the pre-append codes; callers holding derived vectors refresh
         them through the PLI layer's append path.
         """
-        positions = self._positions
-        if positions is None:
-            positions = {
-                value: code for code, value in enumerate(self.dictionary)
-            }
-            self._positions = positions
-        codes = _encode_block(values, positions, self.dictionary)
+        codes = _encode_block(values, self._code_positions(), self.dictionary)
         if not codes:
             return codes
         batch = array("i", codes)
@@ -366,6 +302,18 @@ class EncodedColumn:
         dictionary = self.dictionary
         for code in self.codes:
             yield dictionary[code]
+
+    def count(self, value: Any) -> int:
+        """Rows holding ``value`` (``tuple.count``)."""
+        code = self._code_positions().get(value)
+        return 0 if code is None else operator.countOf(self.codes, code)
+
+    def index(self, value: Any) -> int:
+        """First row holding ``value`` (``tuple.index``)."""
+        code = self._code_positions().get(value)
+        if code is not None:
+            return operator.indexOf(self.codes, code)
+        raise ValueError(f"{value!r} is not in the column")
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, EncodedColumn):
@@ -486,11 +434,11 @@ class ColumnEncoder:
 
     def __init__(
         self,
-        storage: str | None = None,
+        storage: str = "encoded",
         spill_dir: str | None = None,
         nulls: frozenset = frozenset(),
     ):
-        self.storage = resolve_storage(storage) if storage is not None else ACTIVE
+        self.storage = resolve_storage(storage)
         self._dictionary: list[Any] = []
         self._positions: dict[Any, int] = {}
         self._nulls = nulls
@@ -608,7 +556,7 @@ class ColumnEncoder:
 
 def encode_column(
     values: Sequence[Any],
-    storage: str | None = None,
+    storage: str = "encoded",
     spill_dir: str | None = None,
 ) -> EncodedColumn:
     """Dictionary-encode one materialized column."""
@@ -620,49 +568,3 @@ def encode_column(
         encoder.abort()
         raise
 
-
-def encode_relation(
-    relation: "Any",
-    storage: str | None = None,
-    spill_dir: str | None = None,
-) -> "Any":
-    """Attach dictionary encodings to ``relation`` (in place) and return it.
-
-    Columns that are already :class:`EncodedColumn` instances are kept;
-    plain columns gain a sidecar encoding, leaving the object tuples
-    untouched.  The substrate (:class:`~repro.pli.index.RelationIndex`)
-    calls this before it reads ``relation.encoding(i)``, so every column
-    reaches the PLI layer as codes.
-    """
-    mode = resolve_storage(storage) if storage is not None else ACTIVE
-    if all(
-        relation.encoding(index) is not None
-        for index in range(relation.n_columns)
-    ):
-        return relation
-    with _trace.span(
-        "storage.encode",
-        relation=relation.name,
-        columns=relation.n_columns,
-        rows=relation.n_rows,
-        storage=mode,
-    ):
-        encodings = []
-        for index in range(relation.n_columns):
-            existing = relation.encoding(index)
-            if existing is not None:
-                encodings.append(existing)
-                continue
-            column = encode_column(
-                relation.column(index), storage=mode, spill_dir=spill_dir
-            )
-            column.holders = 1
-            encodings.append(column)
-            tracer = _trace.ACTIVE
-            if tracer is not None:
-                tracer.count("storage.encoded_columns")
-                tracer.count(
-                    "storage.dictionary_entries", len(column.dictionary)
-                )
-        relation._encodings = tuple(encodings)
-    return relation

@@ -18,6 +18,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from itertools import filterfalse, islice
 from typing import Any
 
+from .. import trace as _trace
 from .encoded import _BLOCK_ROWS, EncodedColumn, encode_column
 
 Value = Any
@@ -93,8 +94,8 @@ def _memo_tokens(
 #: into its own SHA-256 digest and combines the per-column digests — the
 #: shape that lets ``read_csv`` fold fingerprinting into its row-order
 #: streaming pass (one hasher per column) while the post-hoc path walks
-#: columns; both produce identical bytes per column, hence identical
-#: fingerprints.
+#: the columns' encodings; both hash the tokens of the dictionary
+#: values the codes point at, hence identical fingerprints.
 _FINGERPRINT_DOMAIN = b"repro-relation-v2\x00"
 
 
@@ -121,12 +122,19 @@ def _combine_column_digests(
 class Relation:
     """An immutable, column-oriented table.
 
+    Each column is one thing at a time: the tuple of values it was built
+    from until something first needs its codes, and from then on its
+    :class:`~repro.relation.encoded.EncodedColumn` (see :meth:`encoding`).
+    ``read_csv`` builds columns that are encoded from the start.
+
     Parameters
     ----------
     column_names:
         Unique names, one per column.
     columns:
-        One sequence of values per column; all must share the same length.
+        One sequence of values (or one
+        :class:`~repro.relation.encoded.EncodedColumn`) per column; all
+        must share the same length.
     name:
         Optional label used in reports (defaults to ``"relation"``).
     """
@@ -138,7 +146,6 @@ class Relation:
         "_name",
         "_positions",
         "_fingerprint",
-        "_encodings",
         "_hashers",
         "_token_memos",
         "_parent_fingerprint",
@@ -157,8 +164,8 @@ class Relation:
             raise SchemaError(
                 f"{len(names)} column names but {len(columns)} columns of data"
             )
-        # Dictionary-encoded columns are held as-is (they present the
-        # decoded tuple interface); anything else is frozen into a tuple.
+        # Encoded columns are held as-is (they present the decoded tuple
+        # interface); anything else is frozen into a tuple.
         cols = tuple(
             col if isinstance(col, EncodedColumn) else tuple(col)
             for col in columns
@@ -172,7 +179,6 @@ class Relation:
         self._name = name
         self._positions = {n: i for i, n in enumerate(names)}
         self._fingerprint: str | None = None
-        self._encodings: tuple[EncodedColumn | None, ...] | None = None
         # Live per-column fingerprint hashers (v2 is a running digest per
         # column, so appends can advance it instead of re-hashing from row
         # 0).  ``read_csv`` hands over its streaming hashers; in-memory
@@ -252,22 +258,33 @@ class Relation:
             raise IndexError(f"column index {key} out of range")
         return key
 
-    def encoding(self, key: int | str) -> EncodedColumn | None:
-        """This column's dictionary encoding, or ``None`` if it has none.
+    def encoding(self, key: int | str) -> EncodedColumn:
+        """This column's dictionary encoding.
 
-        An encoding exists either because the column *is* an
-        :class:`~repro.relation.encoded.EncodedColumn` (the ``read_csv``
-        path) or because :func:`~repro.relation.encoded.encode_relation`
-        attached a sidecar (in-memory relations).  The PLI substrate
-        attaches the sidecars before it reads the codes from here.
+        A column ``read_csv`` built is its encoding already.  A column of
+        values is encoded in memory on the first call, and the encoding
+        takes the values' place: the column *is* that encoding from then
+        on, so the PLIs, the fingerprint and appends all read one
+        representation.
         """
         index = self.column_index(key)
         column = self._columns[index]
         if isinstance(column, EncodedColumn):
             return column
-        if self._encodings is not None:
-            return self._encodings[index]
-        return None
+        with _trace.span(
+            "storage.encode",
+            relation=self._name,
+            column=self._names[index],
+            rows=self._n_rows,
+        ):
+            encoded = encode_column(column)
+            _trace.count("storage.encoded_columns")
+            _trace.count("storage.dictionary_entries", len(encoded.dictionary))
+        encoded.holders = 1
+        self._columns = (
+            self._columns[:index] + (encoded,) + self._columns[index + 1 :]
+        )
+        return encoded
 
     def row(self, index: int) -> tuple[Value, ...]:
         """Materialize row ``index`` as a tuple."""
@@ -286,11 +303,14 @@ class Relation:
         (in schema order) and every cell value, but not :attr:`name` — two
         relations with identical schema and data share a fingerprint no
         matter what they are called, which is what lets a result cache
-        recognize an already-profiled input.  Values are streamed column
-        by column through the hash (no materialized row tuples), each
-        encoded with a type tag so ``1``, ``1.0``, ``"1"``, and ``True``
-        never collide.  Computed once and cached on the instance (the
-        relation is immutable).
+        recognize an already-profiled input.  It is computed from the
+        columns' encodings (:meth:`encoding`): each row contributes the
+        token of the dictionary value its code points at, streamed
+        column by column, and each token carries a type tag so ``"1"``
+        and ``1`` never collide.  Values are identified by equality, as
+        the PLIs identify them, so a column holding ``1`` and ``True``
+        hashes as two ``1``s whenever it is hashed.  Computed once and
+        cached on the instance (the relation is immutable).
         """
         if self._fingerprint is None:
             self._fingerprint = _combine_column_digests(
@@ -323,16 +343,13 @@ class Relation:
         """
         if self._hashers is None:
             hashers = []
-            for index, (name, column) in enumerate(zip(self._names, self._columns)):
+            for index, name in enumerate(self._names):
                 digest = _column_hasher(name)
                 encoding = self.encoding(index)
-                if encoding is not None:
-                    # Token per dictionary entry, streamed per code: the
-                    # bytes of tokenizing every row, at dictionary cost.
-                    tokens = list(map(_value_token, encoding.dictionary))
-                    _hash_blocks(digest, map(tokens.__getitem__, encoding.codes))
-                else:
-                    _hash_blocks(digest, map(_value_token, column))
+                # Token per dictionary entry, streamed per code: the bytes
+                # of tokenizing every row, at dictionary cost.
+                tokens = list(map(_value_token, encoding.dictionary))
+                _hash_blocks(digest, map(tokens.__getitem__, encoding.codes))
                 hashers.append(digest)
             self._hashers = hashers
         return self._hashers
@@ -340,15 +357,14 @@ class Relation:
     def append_rows(self, rows: Iterable[Sequence[Value]]) -> int:
         """Append a batch of rows in place; returns the number appended.
 
-        Works on both storage substrates: object-tuple columns are
-        extended by concatenation, dictionary-encoded columns grow their
-        code arrays (and dictionaries) in place — including the mmap
-        spill files of out-of-core columns.  The cached v2 fingerprint is
-        *advanced* by streaming only the batch's value tokens through the
-        retained per-column hashers, so appending is O(batch), and the
-        resulting fingerprint is byte-identical to hashing the combined
-        relation from scratch.  The pre-append fingerprint is kept as
-        :attr:`parent_fingerprint`.
+        Every column is appended through its encoding (:meth:`encoding`),
+        whose code array and dictionary grow in place — including the
+        mmap spill files of out-of-core columns.  The cached v2
+        fingerprint is *advanced* by streaming only the batch's value
+        tokens through the retained per-column hashers, so appending is
+        O(batch), and the resulting fingerprint is byte-identical to
+        hashing the combined relation from scratch.  The pre-append
+        fingerprint is kept as :attr:`parent_fingerprint`.
 
         This is the one sanctioned mutation of a relation: any previously
         taken ``hash()``, row count, or derived index refers to the
@@ -370,20 +386,14 @@ class Relation:
         memos = self._token_memos
         if memos is None:
             memos = self._token_memos = [{} for _ in self._names]
-        columns = list(self._columns)
         for index, batch in enumerate(zip(*materialized)):
-            # Hash from the encoding whenever there is one, exactly as
-            # fingerprint() does, so the chain matches a from-scratch hash.
+            # Hash the tokens of the codes, exactly as fingerprint() does,
+            # so the chain matches a from-scratch hash.
             encoding = self.encoding(index)
-            if encoding is not None:
-                codes = encoding.append_values(batch)
-                tokens = _memo_tokens(memos[index], encoding.dictionary, codes)
-            else:
-                tokens = map(_value_token, batch)
-            _hash_blocks(hashers[index], tokens)
-            if not isinstance(columns[index], EncodedColumn):
-                columns[index] = columns[index] + batch
-        self._columns = tuple(columns)
+            codes = encoding.append_values(batch)
+            _hash_blocks(
+                hashers[index], _memo_tokens(memos[index], encoding.dictionary, codes)
+            )
         self._n_rows += len(materialized)
         self._parent_fingerprint = parent
         self._fingerprint = _combine_column_digests(
@@ -392,60 +402,39 @@ class Relation:
         return len(materialized)
 
     def _hold(self) -> None:
-        """Count this relation as a holder of each encoding it holds."""
-        for index in range(len(self._names)):
-            encoding = self.encoding(index)
-            if encoding is not None:
-                encoding.holders += 1
+        """Count this relation as a holder of each encoded column."""
+        for column in self._columns:
+            if isinstance(column, EncodedColumn):
+                column.holders += 1
 
     def _unshare(self) -> None:
         """Re-encode the encodings another holder shares into private copies.
 
-        ``append_rows`` grows encoded columns (and sidecar encodings) in
-        place, so an encoding that some other relation — or another
-        column of this one — holds too is copied first, however the two
-        came to share it (a projection, the constructor).  The copies
-        have the same codes and dictionaries, in the same storage mode;
-        an encoding with no other holder is kept, so appends stay
-        O(batch).
+        ``append_rows`` grows encoded columns in place, so an encoding
+        that some other relation — or another column of this one — holds
+        too is copied first, however the two came to share it (a
+        projection, the constructor).  The copies have the same codes and
+        dictionaries, in the same storage mode; an encoding with no other
+        holder is kept, so appends stay O(batch).
         """
-        columns = list(self._columns)
-        encodings = list(self._encodings) if self._encodings is not None else None
-        for index in range(len(columns)):
-            shared = self.encoding(index)
-            if shared is None or shared.holders <= 1:
-                continue
-            private = encode_column(shared, storage=shared.storage)
-            private.holders = 1
-            shared.holders -= 1
-            if columns[index] is shared:
-                columns[index] = private
-            if encodings is not None and encodings[index] is shared:
-                encodings[index] = private
+        columns = [self.encoding(index) for index in range(len(self._names))]
+        for index, shared in enumerate(columns):
+            if shared.holders > 1:
+                columns[index] = encode_column(shared, storage=shared.storage)
+                columns[index].holders = 1
+                shared.holders -= 1
         self._columns = tuple(columns)
-        if encodings is not None:
-            self._encodings = tuple(encodings)
 
     # -- transformations ---------------------------------------------------
 
     def project(self, keys: Sequence[int | str], name: str | None = None) -> "Relation":
         """Return a new relation containing only the given columns."""
         indexes = [self.column_index(k) for k in keys]
-        projected = Relation(
+        return Relation(
             [self._names[i] for i in indexes],
             [self._columns[i] for i in indexes],
             name=name or self._name,
         )
-        if self._encodings is not None:
-            # The constructor counted the shared encoded columns; the
-            # sidecars of the other columns are shared too.
-            projected._encodings = tuple(self._encodings[i] for i in indexes)
-            for i in indexes:
-                if not isinstance(self._columns[i], EncodedColumn):
-                    sidecar = self._encodings[i]
-                    if sidecar is not None:
-                        sidecar.holders += 1
-        return projected
 
     def head(self, n_rows: int, name: str | None = None) -> "Relation":
         """Return a new relation containing only the first ``n_rows`` rows."""
@@ -465,17 +454,14 @@ class Relation:
         """
         seen: set[tuple[Value, ...]] = set()
         keep: list[int] = []
-        # Rows are equal iff their per-column codes are equal (encoding is
-        # a per-column bijection), so fully-encoded relations deduplicate
-        # over int tuples — no value decoding or boxing.
-        encodings = [self.encoding(i) for i in range(self.n_columns)]
-        if self._columns and all(e is not None for e in encodings):
-            rows: Iterable[tuple[Value, ...]] = zip(
-                *(e.codes for e in encodings)
-            )
-        else:
-            rows = self.iter_rows()
-        for index, row in enumerate(rows):
+        # Rows are equal iff their per-column keys are equal: the codes of
+        # an encoded column (encoding is a per-column bijection, so no
+        # value is decoded or boxed), the values of one that is not.
+        keys = [
+            column.codes if isinstance(column, EncodedColumn) else column
+            for column in self._columns
+        ]
+        for index, row in enumerate(zip(*keys)):
             if row not in seen:
                 seen.add(row)
                 keep.append(index)

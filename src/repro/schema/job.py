@@ -26,9 +26,10 @@ The paper profiles one relation at a time; real datasets arrive as a
 
 Everything merges into a :class:`~repro.schema.catalog.SchemaCatalog`
 (JSON face in :mod:`repro.metadata.serialize`).  The catalog is
-bit-identical across ``jobs=1`` vs ``jobs=N``, sampling on/off, and
-storage modes — the schema differential suite in ``tests/schema/``
-enforces that, the same contract the single-relation paths carry.
+bit-identical across ``jobs=1`` vs ``jobs=N`` and sampling on/off — the
+schema differential suite in ``tests/schema/`` enforces that, the same
+contract the single-relation paths carry.  Tables are read with their
+column codes in memory (the ``encoded`` storage mode).
 """
 
 from __future__ import annotations

@@ -601,6 +601,7 @@ DEFAULT_SCHEMA: dict[str, Any] = {
             "counters": ["checkpoint.saves", "checkpoint.loads"],
             "events": [
                 "checkpoint.save",
+                "checkpoint.save_failed",
                 "checkpoint.load",
                 "checkpoint.complete",
             ],

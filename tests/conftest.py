@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable
 
 import pytest
 from hypothesis import strategies as st
 
+from repro.relation.encoded import STORAGE_MODES, encode_column
 from repro.relation.relation import Relation
 
 # -- hypothesis strategies ----------------------------------------------------
@@ -101,6 +103,37 @@ def inject_duplicates(relation: Relation, rng: random.Random) -> Relation:
     return Relation.from_rows(
         list(relation.column_names), rows, name=f"{relation.name}/dup"
     )
+
+
+# -- storage modes -------------------------------------------------------------
+
+
+def encoded_in(relation: Relation, storage: str) -> Relation:
+    """A twin of ``relation`` whose columns keep their codes in ``storage``."""
+    return Relation(
+        relation.column_names,
+        [
+            encode_column(relation.column(i), storage=storage)
+            for i in range(relation.n_columns)
+        ],
+        name=relation.name,
+    )
+
+
+def storage_params(cases: Iterable[object]) -> list:
+    """``(case, storage)`` parameters over every storage mode.
+
+    Cases in the default mode keep their plain ids; the other modes
+    prefix theirs with the mode (``3``, ``mmap-3``), so a test that gains
+    the storage parameter keeps the ids it had.
+    """
+    default, *others = STORAGE_MODES
+    cases = list(cases)
+    return [pytest.param(case, default, id=str(case)) for case in cases] + [
+        pytest.param(case, mode, id=f"{mode}-{case}")
+        for mode in others
+        for case in cases
+    ]
 
 
 # -- helpers ---------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Tests for the profile() facade and algorithm selection heuristic."""
 
+import io
+
 import pytest
 from hypothesis import given
 
 from repro import Relation, choose_algorithm, profile
 from repro.core.profiler import ALGORITHMS, MUDS_COLUMN_THRESHOLD
-from repro.relation import encoded as _storage
+from repro.relation import read_csv
+from repro.relation.encoded import StorageUnavailable
 
 from ..conftest import relations
 
@@ -31,10 +34,11 @@ class TestProfileFacade:
             profile(employees, algorithm="quantum")
 
     def test_unknown_storage_rejected(self, employees):
-        before = _storage.ACTIVE
-        with pytest.raises(_storage.StorageUnavailable):
-            profile(employees, storage="objects")
-        assert _storage.ACTIVE == before
+        # The storage mode is chosen where a CSV is read, not per profile.
+        with pytest.raises(TypeError):
+            profile(employees, storage="mmap")
+        with pytest.raises(StorageUnavailable):
+            read_csv(io.StringIO("a\n1\n"), storage="objects")
 
     def test_algorithms_tuple_is_public(self):
         assert set(ALGORITHMS) == {"auto", "muds", "holistic_fun", "baseline"}

@@ -164,16 +164,22 @@ class TestFaultPointAbsorption:
         assert cache.get("ab" * 32, "muds", {"seed": 0}) is None
         assert cache.stats()["misses"] == 1
 
-    @pytest.mark.parametrize("point", [CHECKPOINT_LOAD, RESULT_CACHE_PUT])
+    @pytest.mark.parametrize(
+        "point", [CHECKPOINT_LOAD, CHECKPOINT_SAVE, RESULT_CACHE_PUT]
+    )
     def test_exhausted_store_fault_is_contained_by_the_run(
         self, point, tmp_path
     ):
-        # Every attempt faults: an unreadable checkpoint is absent and a
-        # failed cache store is traced, but the run itself completes.
+        # Every attempt faults: an unreadable checkpoint is absent, and a
+        # failed checkpoint save or cache store is traced and given up
+        # on, but the run itself completes.
         relation = load("iris", n_rows=40)
         reference = default_framework().run("hfun", relation)
         stores = {
             CHECKPOINT_LOAD: {
+                "checkpoints": CheckpointStore(tmp_path, retry=quiet_policy())
+            },
+            CHECKPOINT_SAVE: {
                 "checkpoints": CheckpointStore(tmp_path, retry=quiet_policy())
             },
             RESULT_CACHE_PUT: {
@@ -195,6 +201,23 @@ class TestFaultPointAbsorption:
         assert FAULTS.fired(CHECKPOINT_SAVE) == 1
         assert session.boundaries == 1
         assert (tmp_path / "c.ckpt.json").exists()
+
+    def test_exhausted_checkpoint_save_ends_saving(self, tmp_path):
+        path = tmp_path / "c.ckpt.json"
+        CheckpointSession(path, retry=quiet_policy()).boundary("stage", {"done": 1})
+        session = CheckpointSession(path, retry=quiet_policy())
+        tracer = trace.enable()
+        FAULTS.arm_seeded(CHECKPOINT_SAVE, probability=1.0)
+        session.boundary("stage", {"done": 2})
+        session.boundary("stage", {"done": 3})
+        # Three attempts for the first save; the second is never tried.
+        assert FAULTS.fired(CHECKPOINT_SAVE) == 3
+        assert session.boundaries == 0
+        failed = [e for e in tracer.events if e["name"] == "checkpoint.save_failed"]
+        assert len(failed) == 1 and failed[0]["attrs"]["stage"] == "stage"
+        # The run finishes: the older file goes too.
+        session.complete()
+        assert not path.exists()
 
     def test_checkpoint_load_recovers(self, tmp_path):
         path = tmp_path / "c.ckpt.json"

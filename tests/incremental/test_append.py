@@ -13,14 +13,12 @@ import pickle
 
 import pytest
 
+from repro.pli import PliStore, RelationIndex
 from repro.relation import Relation, read_csv, write_csv
-from repro.relation.encoded import (
-    _BLOCK_ROWS,
-    STORAGE_MODES,
-    encode_relation,
-    use_storage,
-)
+from repro.relation.encoded import _BLOCK_ROWS, STORAGE_MODES
 from repro.relation.relation import SchemaError
+
+from ..conftest import encoded_in
 
 BASE = [
     ("E1", "Portland", "OR"),
@@ -33,15 +31,21 @@ BATCH = [
 ]
 NAMES = ["id", "city", "state"]
 
-#: The column substrates ``append_rows`` grows: plain object tuples, and
-#: object tuples with a sidecar encoding in either storage mode.
+#: The columns ``append_rows`` grows: values (encoded in memory on the
+#: first append), and columns encoded up front in either storage mode.
 SUBSTRATES = ("objects", *STORAGE_MODES)
 
+#: A base and batch whose ``x`` values are equal across types (``1`` and
+#: ``True``, ``2`` and ``2.0``): the column holds two values, not four.
+MIXED_NAMES = ["x", "y"]
+MIXED_BASE = [(1, "p"), (2, "q"), (3, "p")]
+MIXED_BATCH = [(True, "q"), (2.0, "p")]
 
-def _fresh(rows, name="t", substrate="objects"):
-    relation = Relation.from_rows(NAMES, rows, name=name)
+
+def _fresh(rows, name="t", substrate="objects", names=NAMES):
+    relation = Relation.from_rows(names, rows, name=name)
     if substrate != "objects":
-        encode_relation(relation, storage=substrate)
+        relation = encoded_in(relation, substrate)
     return relation
 
 
@@ -56,13 +60,25 @@ class TestFingerprintChain:
         assert appended == len(BATCH)
         assert grown.n_rows == len(BASE) + len(BATCH)
         assert list(grown.iter_rows()) == list(whole.iter_rows())
-        for index in range(grown.n_columns):
-            # A sidecar encoding grows in step with its object column.
-            encoding = grown.encoding(index)
-            assert encoding is None or tuple(encoding) == grown.column(index)
         assert grown.fingerprint() == whole.fingerprint()
         assert grown.fingerprint() != base_fingerprint
         assert grown.parent_fingerprint == base_fingerprint
+
+        # Mixed types, appended through an indexed store: the chain still
+        # ends at the from-scratch fingerprint of all rows.
+        mixed = _fresh(MIXED_BASE, substrate=substrate, names=MIXED_NAMES)
+        store = PliStore()
+        store.index_for(mixed)
+        store.append_rows(mixed, MIXED_BATCH)
+        assert mixed.fingerprint() == _fresh(
+            MIXED_BASE + MIXED_BATCH, names=MIXED_NAMES
+        ).fingerprint()
+        # Fingerprinting before or after indexing gives one fingerprint.
+        rows = MIXED_BASE + MIXED_BATCH
+        before = _fresh(rows, substrate=substrate, names=MIXED_NAMES)
+        after = _fresh(rows, substrate=substrate, names=MIXED_NAMES)
+        RelationIndex(after)
+        assert before.fingerprint() == after.fingerprint() == mixed.fingerprint()
 
     def test_chain_over_multiple_batches(self, substrate, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_SPILL_DIR", str(tmp_path))
@@ -99,8 +115,7 @@ class TestFingerprintChain:
     def test_batches_spanning_hash_blocks(self, substrate, tmp_path, monkeypatch):
         # Batches longer than one hash block that repeat earlier values,
         # add new ones and carry NULLs: hashing from the appended codes
-        # through the token memo (or, for plain object columns, from the
-        # values) must reproduce the from-scratch bytes.
+        # through the token memo must reproduce the from-scratch bytes.
         monkeypatch.setenv("REPRO_SPILL_DIR", str(tmp_path))
         rows = [
             (f"E{i}", f"c{i % 37}", None if i % 5 == 0 else f"s{i % 3}")
@@ -111,8 +126,7 @@ class TestFingerprintChain:
         else:
             path = tmp_path / "base.csv"
             write_csv(_fresh(rows[:100]), path)
-            with use_storage(substrate):
-                grown = read_csv(path)
+            grown = read_csv(path, storage=substrate)
         grown.append_rows(rows[100 : 2 * _BLOCK_ROWS])
         grown.append_rows(rows[2 * _BLOCK_ROWS :])
         whole = Relation.from_rows(NAMES, rows, name=grown.name)

@@ -14,9 +14,9 @@ from repro.pli import KERNEL_STATS, PliStore, available_backends, use_backend
 from repro.pli.delta import ColumnDelta, merge_column
 from repro.relation import Relation
 from repro.relation.columnset import full_mask
-from repro.relation.encoded import STORAGE_MODES, use_storage
+from repro.relation.encoded import STORAGE_MODES
 
-from ..conftest import random_relation
+from ..conftest import encoded_in, random_relation
 
 SEED = 20160315
 
@@ -52,7 +52,7 @@ def test_merged_substrate_equals_rebuilt(
 ):
     monkeypatch.setenv("REPRO_SPILL_DIR", str(tmp_path))
     rng = random.Random(SEED)
-    with use_backend(backend_name), use_storage(storage_mode):
+    with use_backend(backend_name):
         for case in range(25):
             whole = random_relation(rng, f"delta-{case}", max_rows=14)
             if whole.n_rows < 2:
@@ -61,14 +61,15 @@ def test_merged_substrate_equals_rebuilt(
             if not batch_rows:
                 continue
             names = list(whole.column_names)
-            grown = Relation.from_rows(names, base_rows, name=whole.name)
+            grown = encoded_in(
+                Relation.from_rows(names, base_rows, name=whole.name), storage_mode
+            )
             store = PliStore()
             index, delta = store.append_rows(grown, batch_rows)
             assert delta is not None
             assert grown.fingerprint() == whole.fingerprint()
-            fresh = PliStore().index_for(
-                Relation.from_rows(names, base_rows + batch_rows)
-            )
+            rebuilt = Relation.from_rows(names, base_rows + batch_rows)
+            fresh = PliStore().index_for(encoded_in(rebuilt, storage_mode))
             _assert_equal_substrates(index, fresh, whole.n_columns)
 
 

@@ -17,9 +17,9 @@ import pytest
 from repro.incremental import IncrementalProfiler
 from repro.pli import available_backends, use_backend
 from repro.relation import Relation
-from repro.relation.encoded import STORAGE_MODES, use_storage
+from repro.relation.encoded import STORAGE_MODES
 
-from ..conftest import random_relation
+from ..conftest import encoded_in, random_relation
 
 SEED = 20160315
 ALGORITHMS = ("muds", "holistic_fun", "baseline")
@@ -39,14 +39,23 @@ def _split_cases(seed: int, n_cases: int, min_rows: int = 4):
     return cases
 
 
-def _check_maintained(names, base_rows, batch_rows, algorithm, sampling, jobs=None):
-    grown = Relation.from_rows(names, base_rows, name="grown")
+def _check_maintained(
+    names, base_rows, batch_rows, algorithm, sampling, jobs=None, storage=None
+):
+    """``storage=None`` keeps the relations' columns values (encoded in
+    memory on first use); a mode encodes them there up front."""
+
+    def build(rows):
+        relation = Relation.from_rows(names, rows, name="grown")
+        return relation if storage is None else encoded_in(relation, storage)
+
+    grown = build(base_rows)
     profiler = IncrementalProfiler(
         algorithm=algorithm, seed=0, sampling=sampling, jobs=jobs
     )
     prior = profiler.profile_base(grown)
     maintained = profiler.maintain(grown, batch_rows, prior)
-    whole = Relation.from_rows(names, base_rows + batch_rows, name="grown")
+    whole = build(base_rows + batch_rows)
     fresh = IncrementalProfiler(
         algorithm=algorithm, seed=0, sampling=sampling, jobs=jobs
     ).profile_base(whole)
@@ -68,9 +77,11 @@ def test_maintained_equals_from_scratch(algorithm, sampling):
 @pytest.mark.parametrize("backend_name", available_backends())
 def test_backend_storage_matrix(backend_name, storage_mode, tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_SPILL_DIR", str(tmp_path))
-    with use_backend(backend_name), use_storage(storage_mode):
+    with use_backend(backend_name):
         for names, base_rows, batch_rows in _split_cases(SEED + 7, 6):
-            _check_maintained(names, base_rows, batch_rows, "muds", True)
+            _check_maintained(
+                names, base_rows, batch_rows, "muds", True, storage=storage_mode
+            )
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

@@ -37,7 +37,9 @@ from repro.pli import (
     use_backend,
 )
 from repro.pli.pli import pli_from_column, value_vector
-from repro.relation.encoded import STORAGE_MODES, use_storage
+from repro.relation.encoded import STORAGE_MODES
+
+from ..conftest import encoded_in
 
 # ~200 randomized relations: 3 generators x seeds x sizes.  Small rows keep
 # the quadratic all-pairs intersection sweep fast.
@@ -68,8 +70,8 @@ def _build(name, factory, rows, cols, seed):
 def test_new_kernel_matches_legacy_on_generated_relations(
     name, factory, rows, cols, seed, backend_name, storage_mode
 ):
-    relation = _build(name, factory, rows, cols, seed)
-    with use_backend(backend_name), use_storage(storage_mode):
+    relation = encoded_in(_build(name, factory, rows, cols, seed), storage_mode)
+    with use_backend(backend_name):
         index = RelationIndex(relation)
         plis = [index.column_pli(c) for c in range(relation.n_columns)]
         vectors = [index.vector(c) for c in range(relation.n_columns)]
@@ -119,10 +121,12 @@ def test_fd_signatures_agree_on_ncvoter_geometry():
 # -- backend / storage interchangeability -----------------------------------
 
 
-def _profile_on_backend(backend_name, relation, seed, storage_mode=None):
-    """One full MUDS + TANE + FUN pass on a fresh substrate; returns the
-    discovered metadata, the composite clusters, and the kernel deltas."""
-    with use_backend(backend_name), use_storage(storage_mode):
+def _profile_on_backend(backend_name, relation, seed, storage_mode):
+    """One full MUDS + TANE + FUN pass on a fresh substrate over a twin
+    of ``relation`` encoded in ``storage_mode``; returns the discovered
+    metadata, the composite clusters, and the kernel deltas."""
+    relation = encoded_in(relation, storage_mode)
+    with use_backend(backend_name):
         before = KERNEL_STATS.snapshot()
         store = PliStore()
         index = store.index_for(relation)
@@ -211,10 +215,6 @@ def test_storage_modes_are_interchangeable(factory, rows, cols, seed, backend_na
     bit-identical clusters, metadata, and kernel counters (not merely
     modulo a name: the *same* backend must count the same work whichever
     storage fed it).
-
-    Each mode profiles a freshly generated relation (the generators are
-    seed-deterministic) because encodings attach to relations in place —
-    reusing one object would let the first mode's sidecar feed the next.
     """
     relation = factory(rows, n_columns=cols, seed=seed)
     reference = [
@@ -222,9 +222,7 @@ def test_storage_modes_are_interchangeable(factory, rows, cols, seed, backend_na
         for values in map(relation.column, range(relation.n_columns))
     ]
     profiles = {
-        mode: _profile_on_backend(
-            backend_name, factory(rows, n_columns=cols, seed=seed), seed, mode
-        )
+        mode: _profile_on_backend(backend_name, relation, seed, mode)
         for mode in STORAGE_MODES
     }
     for mode, profile in profiles.items():

@@ -3,6 +3,7 @@ fingerprint streaming equality, and the bounded-memory property of
 ``mmap`` mode."""
 
 import gc
+import io
 import os
 import pickle
 import tracemalloc
@@ -10,7 +11,8 @@ from array import array
 
 import pytest
 
-from repro.guard import Budget
+from repro import profile
+from repro.guard import Budget, guarded
 from repro.relation import Relation, read_csv, read_csv_text
 from repro.relation import encoded as storage
 from repro.relation.encoded import (
@@ -19,10 +21,8 @@ from repro.relation.encoded import (
     EncodedColumn,
     StorageUnavailable,
     encode_column,
-    encode_relation,
     resolve_storage,
     spill_directory,
-    use_storage,
 )
 
 ENCODING_MODES = ("encoded", "mmap")
@@ -55,6 +55,13 @@ class TestEncodeRoundTrip:
         assert column[2] is None
         assert column[1:4] == self.VALUES[1:4]
         assert hash(column) == hash(self.VALUES)
+        for value in (*self.VALUES, "absent"):
+            assert column.count(value) == self.VALUES.count(value)
+            if value in self.VALUES:
+                assert column.index(value) == self.VALUES.index(value)
+            else:
+                with pytest.raises(ValueError):
+                    column.index(value)
 
     @pytest.mark.parametrize("mode", ENCODING_MODES)
     def test_dictionary_is_first_seen_order(self, mode, spill_dir):
@@ -136,36 +143,21 @@ class TestModeSelection:
         assert resolve_storage(None) == "encoded"
         assert resolve_storage("  MMAP ") == "mmap"
 
-    def test_use_storage_restores_previous_mode(self):
-        before = storage.ACTIVE
-        with use_storage("mmap"):
-            assert storage.ACTIVE == "mmap"
-            with use_storage(None):  # no-op context
-                assert storage.ACTIVE == "mmap"
-        assert storage.ACTIVE == before
-
-    def test_set_storage_rejects_unknown_and_keeps_armed_mode(self):
-        before = storage.ACTIVE
-        for unknown in ("parquet", "objects"):
-            with pytest.raises(StorageUnavailable):
-                storage.set_storage(unknown)
-            assert storage.ACTIVE == before
-
-    def test_unusable_environment_value_warns_and_degrades(self, monkeypatch):
-        for unknown in ("parquet", "objects"):
-            monkeypatch.setenv(storage.ENV_VAR, unknown)
-            with pytest.warns(RuntimeWarning, match="falling back"):
-                assert storage._from_environment() == "encoded"
-
-    def test_budget_accounting_follows_storage(self):
+    def test_budget_accounting_follows_storage(self, spill_dir):
         # Both modes feed the kernel the same dense row ids, so a budget
-        # charges the same 8 B per clustered row whichever mode is armed.
+        # charges the same 8 B per clustered row whichever mode holds the
+        # codes.
+        text = "a,b,c,d\n" + "".join(
+            f"{i % 4},{i % 3},{i % 5},{i % 2}\n" for i in range(60)
+        )
+        charged = set()
         for mode in STORAGE_MODES:
-            with use_storage(mode):
-                budget = Budget()
-                budget.charge_intersection(10)
+            budget = Budget()
+            with guarded(budget):
+                profile(read_csv(io.StringIO(text), storage=mode))
             assert budget.bytes_per_clustered_row == 8, mode
-            assert budget.cluster_bytes == 80, mode
+            charged.add(budget.cluster_bytes)
+        assert len(charged) == 1 and charged.pop() > 0
 
 
 CSV = "a,b\n" + "".join(f"{i % 4},{i % 3}\n" for i in range(50))
@@ -178,8 +170,7 @@ class TestFingerprintStreaming:
 
     @pytest.mark.parametrize("mode", STORAGE_MODES)
     def test_streamed_equals_post_hoc(self, mode, spill_dir):
-        with use_storage(mode):
-            relation = read_csv_text(CSV)
+        relation = read_csv(io.StringIO(CSV), storage=mode)
         assert relation._fingerprint is not None  # streamed, not lazy
         streamed = relation.fingerprint()
         # Post-hoc: a fresh Relation over the same boxed values, hashed
@@ -195,8 +186,7 @@ class TestFingerprintStreaming:
     def test_all_modes_agree(self, spill_dir):
         prints = set()
         for mode in STORAGE_MODES:
-            with use_storage(mode):
-                prints.add(read_csv_text(CSV).fingerprint())
+            prints.add(read_csv(io.StringIO(CSV), storage=mode).fingerprint())
         assert len(prints) == 1
 
     def test_distinct_relations_get_distinct_fingerprints(self):
@@ -207,25 +197,25 @@ class TestFingerprintStreaming:
 
 
 class TestEncodeRelation:
-    def test_sidecar_encoding_for_object_relations(self):
+    def test_values_become_their_encoding_on_first_request(self):
         relation = Relation.from_dict(
-            {"a": ["x", None, "x", "y"], "b": [1, 2, 1, 1]}
+            {"a": ["x", None, "x", "y"], "b": [1, True, 2, 2.0]}
         )
-        assert relation.encoding(0) is None
-        encode_relation(relation, storage="encoded")
-        for index in range(relation.n_columns):
-            encoding = relation.encoding(index)
-            assert encoding is not None
-            assert tuple(encoding) == relation.column(index)
-        # The object tuples stay the relation's columns.
         assert relation.column("a") == ("x", None, "x", "y")
-        assert relation.encoding("a").dictionary == ["x", None, "y"]
+        encoding = relation.encoding("a")
+        # One representation: the encoding takes the values' place.
+        assert relation.column("a") is encoding
+        assert relation.encoding("a") is encoding
+        assert encoding.storage == "encoded"
+        assert encoding.dictionary == ["x", None, "y"]
+        # Values are identified by equality and shown as first seen.
+        assert relation.encoding("b").dictionary == [1, 2]
+        assert relation.column("b") == (1, 1, 2, 2)
 
     def test_projection_carries_encodings(self):
-        with use_storage("encoded"):
-            relation = read_csv_text(CSV)
+        relation = read_csv_text(CSV)
         projected = relation.project([1, 0])
-        assert projected.encoding(0) is not None
+        assert projected.encoding(0) is relation.encoding(1)
         assert tuple(projected.encoding(0)) == relation.column(1)
 
 
@@ -249,12 +239,11 @@ class TestBoundedMemory:
         path = self._csv(tmp_path)
         payload = self.ROWS * 2 * CODE_BYTES  # in-memory encoded code bytes
 
-        with use_storage("mmap"):
-            gc.collect()
-            tracemalloc.start()
-            relation = read_csv(path)
-            _, peak = tracemalloc.get_traced_memory()
-            tracemalloc.stop()
+        gc.collect()
+        tracemalloc.start()
+        relation = read_csv(path, storage="mmap")
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
 
         assert relation.n_rows == self.ROWS
         assert relation.encoding(0).storage == "mmap"
@@ -270,11 +259,10 @@ class TestBoundedMemory:
         # above measures the right thing.
         path = self._csv(tmp_path)
         payload = self.ROWS * 2 * CODE_BYTES
-        with use_storage("encoded"):
-            gc.collect()
-            tracemalloc.start()
-            relation = read_csv(path)
-            _, peak = tracemalloc.get_traced_memory()
-            tracemalloc.stop()
+        gc.collect()
+        tracemalloc.start()
+        relation = read_csv(path, storage="encoded")
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
         assert relation.n_rows == self.ROWS
         assert peak >= payload

@@ -1,18 +1,20 @@
-"""Tests for the column-oriented Relation model."""
+"""Tests for the column-oriented Relation model.
+
+The transformation and equality tests run on columns of values (the
+classes below) and again, through a subclass per storage mode at the end
+of the module, on columns encoded in that mode.
+"""
+
+import io
 
 import pytest
 from hypothesis import given
 
 from repro import profile
-from repro.relation import Relation, SchemaError, read_csv_text
-from repro.relation.encoded import (
-    SPILL_DIR_ENV,
-    STORAGE_MODES,
-    encode_relation,
-    use_storage,
-)
+from repro.relation import Relation, SchemaError, read_csv
+from repro.relation.encoded import SPILL_DIR_ENV, STORAGE_MODES, EncodedColumn
 
-from ..conftest import relations
+from ..conftest import encoded_in, relations
 
 
 class TestConstruction:
@@ -74,50 +76,81 @@ class TestAccess:
         assert len(listed) == employees.n_rows
 
 
-class TestTransformations:
+class _InStorage:
+    #: ``None``: columns of values; a storage mode: columns encoded in it.
+    storage = None
+
+    def make(self, relation):
+        if self.storage is None:
+            return relation
+        return encoded_in(relation, self.storage)
+
+
+class TestTransformations(_InStorage):
     def test_project(self, employees):
+        employees = self.make(employees)
         projected = employees.project(["city", "state"])
         assert projected.column_names == ("city", "state")
         assert projected.n_rows == employees.n_rows
+        assert projected.column("city") is employees.column("city")
 
     def test_head(self, employees):
+        employees = self.make(employees)
         assert employees.head(2).n_rows == 2
+        assert employees.head(2).row(1) == employees.row(1)
         assert employees.head(100).n_rows == employees.n_rows
 
     def test_head_negative(self, employees):
         with pytest.raises(ValueError):
-            employees.head(-1)
+            self.make(employees).head(-1)
+
+    def test_head_and_deduplicated_return_values(self, employees):
+        # Neither encodes: the rows they keep come back as values.
+        employees = self.make(employees)
+        duplicated = self.make(
+            Relation.from_rows(["A", "B"], [(1, 2), (1, 2), (3, 4)])
+        )
+        for derived in (employees.head(2), duplicated.deduplicated()):
+            for index in range(derived.n_columns):
+                assert not isinstance(derived.column(index), EncodedColumn)
 
     def test_deduplicated_removes_duplicates(self):
-        rel = Relation.from_rows(["A", "B"], [(1, 2), (1, 2), (3, 4)])
+        rel = self.make(Relation.from_rows(["A", "B"], [(1, 2), (1, 2), (3, 4)]))
         assert rel.has_duplicate_rows()
         deduped = rel.deduplicated()
         assert deduped.n_rows == 2
         assert not deduped.has_duplicate_rows()
 
     def test_deduplicated_noop_returns_self(self, employees):
+        employees = self.make(employees)
         assert employees.deduplicated() is employees
 
     def test_deduplicated_keeps_first_occurrence(self):
-        rel = Relation.from_rows(["A", "B"], [(1, "x"), (2, "y"), (1, "x")])
+        rel = self.make(
+            Relation.from_rows(["A", "B"], [(1, "x"), (2, "y"), (1, "x")])
+        )
         assert list(rel.deduplicated().iter_rows()) == [(1, "x"), (2, "y")]
 
     @given(relations(max_columns=4, max_rows=10))
     def test_deduplicated_is_idempotent(self, rel):
-        once = rel.deduplicated()
+        self.check_deduplicated_is_idempotent(rel)
+
+    def check_deduplicated_is_idempotent(self, rel):
+        once = self.make(rel).deduplicated()
         assert once.deduplicated() == once
         assert not once.has_duplicate_rows()
 
 
-class TestDunder:
+class TestDunder(_InStorage):
     def test_equality(self):
-        a = Relation.from_rows(["A"], [(1,), (2,)])
+        # Equal content is equal whether a column holds values or codes.
+        a = self.make(Relation.from_rows(["A"], [(1,), (2,)]))
         b = Relation.from_rows(["A"], [(1,), (2,)])
         assert a == b
         assert hash(a) == hash(b)
 
     def test_inequality_on_data(self):
-        a = Relation.from_rows(["A"], [(1,)])
+        a = self.make(Relation.from_rows(["A"], [(1,)]))
         b = Relation.from_rows(["A"], [(2,)])
         assert a != b
 
@@ -141,20 +174,18 @@ class TestProjectionAppendIsolation:
             text = "a,b,c\n" + "".join(
                 ",".join(value or "" for value in row) + "\n" for row in self.ROWS
             )
-            return read_csv_text(text)
-        # In-memory object columns with sidecar encodings.
-        return encode_relation(
-            Relation.from_rows(self.NAMES, self.ROWS), storage=mode
-        )
+            return read_csv(io.StringIO(text), storage=mode)
+        # In-memory values: encoded in memory on first use, or up front
+        # in the other mode.
+        relation = Relation.from_rows(self.NAMES, self.ROWS)
+        return relation if mode == "encoded" else encoded_in(relation, mode)
 
     @staticmethod
     def _state(relation):
-        encodings = [relation.encoding(i) for i in range(relation.n_columns)]
         return (
             relation.n_rows,
             list(relation.iter_rows()),
-            [len(relation.column(i)) for i in range(relation.n_columns)],
-            [None if e is None else len(e) for e in encodings],
+            [len(relation.encoding(i)) for i in range(relation.n_columns)],
             relation.fingerprint(),
         )
 
@@ -166,38 +197,55 @@ class TestProjectionAppendIsolation:
         self, mode, source, sharing, appender, tmp_path, monkeypatch
     ):
         monkeypatch.setenv(SPILL_DIR_ENV, str(tmp_path))
-        with use_storage(mode):
-            parent = self._parent(source, mode)
-            if sharing == "project":
-                projection = parent.project(["a", "b"])
-            else:
-                # The parent's encodings become the new relation's
-                # columns: its columns themselves for a CSV, its sidecars
-                # for an in-memory relation.
-                projection = Relation(
-                    ["a", "b"], [parent.encoding(i) for i in range(2)]
-                )
-            grown, other = (
-                (projection, parent)
-                if appender == "projection"
-                else (parent, projection)
-            )
-            state = self._state(other)
-            result = profile(other)
+        parent = self._parent(source, mode)
+        if sharing == "project":
+            projection = parent.project(["a", "b"])
+        else:
+            # The parent's encodings become the new relation's columns.
+            projection = Relation(["a", "b"], [parent.encoding(i) for i in range(2)])
+        grown, other = (
+            (projection, parent) if appender == "projection" else (parent, projection)
+        )
+        state = self._state(other)
+        result = profile(other)
 
-            grown.append_rows([row[: grown.n_columns] for row in self.BATCH])
+        grown.append_rows([row[: grown.n_columns] for row in self.BATCH])
 
-            assert grown.n_rows == len(self.ROWS) + len(self.BATCH)
-            assert self._state(other) == state
-            # The cached fingerprint still describes the rows it holds.
-            rebuilt = Relation.from_rows(other.column_names, other.iter_rows())
-            assert rebuilt.fingerprint() == other.fingerprint()
-            assert profile(other).same_metadata(result)
-            # The appending side sees its own rows, encodings included.
-            assert list(grown.iter_rows())[len(self.ROWS):] == [
-                row[: grown.n_columns] for row in self.BATCH
-            ]
-            assert all(
-                len(grown.encoding(i)) == grown.n_rows
-                for i in range(grown.n_columns)
-            )
+        assert grown.n_rows == len(self.ROWS) + len(self.BATCH)
+        assert self._state(other) == state
+        # The cached fingerprint still describes the rows it holds.
+        rebuilt = Relation.from_rows(other.column_names, other.iter_rows())
+        assert rebuilt.fingerprint() == other.fingerprint()
+        assert profile(other).same_metadata(result)
+        # The appending side sees its own rows, encodings included.
+        assert list(grown.iter_rows())[len(self.ROWS):] == [
+            row[: grown.n_columns] for row in self.BATCH
+        ]
+        assert all(
+            len(grown.encoding(i)) == grown.n_rows for i in range(grown.n_columns)
+        )
+
+
+class TestTransformationsEncoded(TestTransformations):
+    storage = "encoded"
+
+    # Hypothesis wants one test class per @given function.
+    @given(relations(max_columns=4, max_rows=10))
+    def test_deduplicated_is_idempotent(self, rel):
+        self.check_deduplicated_is_idempotent(rel)
+
+
+class TestTransformationsMmap(TestTransformations):
+    storage = "mmap"
+
+    @given(relations(max_columns=4, max_rows=10))
+    def test_deduplicated_is_idempotent(self, rel):
+        self.check_deduplicated_is_idempotent(rel)
+
+
+class TestDunderEncoded(TestDunder):
+    storage = "encoded"
+
+
+class TestDunderMmap(TestDunder):
+    storage = "mmap"

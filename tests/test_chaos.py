@@ -201,9 +201,10 @@ class TestComposedChaos:
                 continue
             finally:
                 FAULTS.disarm()
-            if execution.ok:
-                break
-            execution = None  # ERR cell from an exhausted retry: retry run
+            # A save that outlasts its retries is given up on, never an
+            # ERR cell: a run that does not crash completes.
+            assert execution.ok, execution.error
+            break
         assert execution is not None, "composed chaos never converged"
         assert_same_outcome(execution, reference)
 

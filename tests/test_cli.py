@@ -6,6 +6,8 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.relation import Relation, write_csv
+from repro.relation.encoded import CODE_BYTES
+from repro.trace import read_jsonl
 
 
 @pytest.fixture
@@ -86,6 +88,62 @@ class TestErrors:
             main([str(csv_path), "--storage", "objects"])
         assert exit_info.value.code == 2
         assert "invalid choice: 'objects'" in capsys.readouterr().err
+
+
+def spilled_bytes(trace_path) -> int:
+    """Total ``storage.spilled_bytes`` of a trace file: its counter events
+    plus the counters of its root spans (child spans roll up into them)."""
+    events = read_jsonl(trace_path)
+    roots = {e["span"] for e in events if e["type"] == "begin" and e["parent"] is None}
+    total = 0
+    for event in events:
+        if event["type"] == "counter" and event["name"] == "storage.spilled_bytes":
+            total += event["value"]
+        elif event["type"] == "end" and event["span"] in roots:
+            total += event["counters"].get("storage.spilled_bytes", 0)
+    return total
+
+
+class TestStorageFlag:
+    """``--storage mmap`` reaches the profiled relation's columns, also
+    when the rows come from a built-in dataset or a row cut."""
+
+    @pytest.fixture(autouse=True)
+    def _spill_dir(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_SPILL_DIR", str(tmp_path / "spill"))
+
+    def test_max_rows_profiles_mmap_columns(self, tmp_path, capsys):
+        rows, columns, kept = 50, 3, 20
+        path = tmp_path / "wide.csv"
+        path.write_text(
+            "a,b,c\n" + "".join(f"{i},{i % 4},{i % 3}\n" for i in range(rows))
+        )
+        trace = tmp_path / "trace.jsonl"
+        argv = [str(path), "--storage", "mmap", "--max-rows", str(kept)]
+        assert main([*argv, "--trace", str(trace)]) == 0
+        # The read spills every row; the cut to --max-rows spills the rows
+        # it keeps again, encoded for the profile.
+        assert spilled_bytes(trace) == (rows + kept) * columns * CODE_BYTES
+
+    def test_dataset_profiles_mmap_columns(self, tmp_path, capsys):
+        trace = tmp_path / "trace.jsonl"
+        argv = ["--dataset", "iris", "--storage", "mmap"]
+        assert main([*argv, "--trace", str(trace)]) == 0
+        assert spilled_bytes(trace) > 0
+
+    def test_watch_reads_mmap_columns(self, tmp_path, csv_path, capsys):
+        directory = tmp_path / "watched"
+        directory.mkdir()
+        (directory / "0000.csv").write_text(csv_path.read_text())
+        trace = tmp_path / "trace.jsonl"
+        argv = ["watch", str(directory), "--once", "--storage", "mmap"]
+        assert main([*argv, "--trace", str(trace)]) == 0
+        assert spilled_bytes(trace) > 0
+
+    def test_default_storage_spills_nothing(self, tmp_path, csv_path, capsys):
+        trace = tmp_path / "trace.jsonl"
+        assert main([str(csv_path), "--max-rows", "3", "--trace", str(trace)]) == 0
+        assert spilled_bytes(trace) == 0
 
 
 class TestDuplicateHandling:

@@ -169,26 +169,23 @@ class TestSeededCampaign:
         """A transient spill-write fault under ``mmap`` storage costs one
         retry, never a failed read or a wrong profile."""
         from repro.faults import FaultInjected
-        from repro.relation import encoded as storage
 
         reference = reference_metadata(csv_path)
-        with storage.use_storage("mmap"):
-            FAULTS.arm(STORAGE_SPILL, at=1)
-            relation = read_csv(csv_path).deduplicated()
-            fired = FAULTS.fired(STORAGE_SPILL)
-            FAULTS.disarm()
-            assert fired == 1  # the point genuinely tripped and was absorbed
-            execution = default_framework().run("hfun", relation)
+        FAULTS.arm(STORAGE_SPILL, at=1)
+        relation = read_csv(csv_path, storage="mmap").deduplicated()
+        fired = FAULTS.fired(STORAGE_SPILL)
+        FAULTS.disarm()
+        assert fired == 1  # the point genuinely tripped and was absorbed
+        execution = default_framework().run("hfun", relation)
         assert execution.status == "ok"
         assert execution.result.same_metadata(reference)
 
         # A *permanent* spill failure exhausts the bounded retries and
         # surfaces as the injected error instead of corrupting the column.
-        with storage.use_storage("mmap"):
-            FAULTS.arm_seeded(STORAGE_SPILL, probability=1.0, seed=0)
-            with pytest.raises(FaultInjected):
-                read_csv(csv_path)
-            FAULTS.disarm()
+        FAULTS.arm_seeded(STORAGE_SPILL, probability=1.0, seed=0)
+        with pytest.raises(FaultInjected):
+            read_csv(csv_path, storage="mmap")
+        FAULTS.disarm()
 
     def test_cache_fault_mid_campaign_recovers(self, csv_path):
         reference = reference_metadata(csv_path)

@@ -16,6 +16,10 @@ seed is printed in the test id) and checks, for all six algorithms:
 * the base relation's results agree with the brute-force oracle
   (:mod:`repro.algorithms.naive`).
 
+Every case runs in both storage modes: each relation's columns are
+encoded in memory (the default, plain test ids) or spilled to mmap
+files (ids prefixed ``mmap-``) before the algorithms see it.
+
 Each algorithm is compared on the metadata it actually discovers:
 MUDS and Holistic FUN on all three kinds, TANE on FDs, FUN on FDs and
 UCCs, DUCC on UCCs, SPIDER on unary INDs.
@@ -38,10 +42,12 @@ from repro.metadata.results import fd_signature, ucc_signature
 from repro.relation.relation import Relation
 
 from .conftest import (
+    encoded_in,
     inject_duplicates as _inject_duplicates,
     permute_columns as _permute_columns,
     permute_rows as _permute_rows,
     random_relation,
+    storage_params,
 )
 
 SEED = 20160315  # EDBT 2016; fixed so CI failures reproduce locally
@@ -112,13 +118,17 @@ def _oracle(relation: Relation) -> dict[str, frozenset]:
 # sampling-differential suite.
 
 
-@pytest.mark.parametrize("batch", range(N_BATCHES))
-def test_metamorphic_invariants(batch: int) -> None:
+@pytest.mark.parametrize("batch, storage", storage_params(range(N_BATCHES)))
+def test_metamorphic_invariants(batch: int, storage: str) -> None:
     rng = random.Random(SEED + batch)
+
+    def signatures(relation: Relation) -> dict[str, frozenset]:
+        return _signatures(encoded_in(relation, storage))
+
     for index in range(RELATIONS_PER_BATCH):
         tag = f"meta[{batch}.{index}]"
         relation = random_relation(rng, tag)
-        base = _signatures(relation)
+        base = signatures(relation)
 
         # Oracle agreement on the base relation.
         oracle = _oracle(relation)
@@ -129,18 +139,18 @@ def test_metamorphic_invariants(batch: int) -> None:
             )
 
         # Row permutation: everything invariant.
-        permuted = _signatures(_permute_rows(relation, rng))
+        permuted = signatures(_permute_rows(relation, rng))
         assert permuted == base, f"{tag}: results changed under row permutation"
 
         # Column permutation: invariant modulo relabeling (name signatures).
-        relabeled = _signatures(_permute_columns(relation, rng))
+        relabeled = signatures(_permute_columns(relation, rng))
         assert relabeled == base, (
             f"{tag}: results changed under column permutation"
         )
 
         # Duplicate rows: FDs and INDs invariant, minimal UCCs vanish.
         if relation.n_rows:
-            duplicated = _signatures(_inject_duplicates(relation, rng))
+            duplicated = signatures(_inject_duplicates(relation, rng))
             for key, sig in duplicated.items():
                 kind = key.split(".", 1)[1]
                 if kind == "uccs":
@@ -162,8 +172,8 @@ def test_metamorphic_invariants(batch: int) -> None:
 # base profile through the incremental dispatch).
 
 
-@pytest.mark.parametrize("k", [1, 2, 5])
-def test_append_split_is_metamorphic_identity(k: int) -> None:
+@pytest.mark.parametrize("k, storage", storage_params([1, 2, 5]))
+def test_append_split_is_metamorphic_identity(k: int, storage: str) -> None:
     from repro.incremental import IncrementalProfiler
     from repro.metadata.serialize import canonical_metadata_dumps
 
@@ -174,11 +184,11 @@ def test_append_split_is_metamorphic_identity(k: int) -> None:
         rows = list(relation.iter_rows())
         names = list(relation.column_names)
         whole = IncrementalProfiler(algorithm="muds", seed=0).profile_base(
-            Relation.from_rows(names, rows, name=tag)
+            encoded_in(Relation.from_rows(names, rows, name=tag), storage)
         )
         chunk = -(-len(rows) // k) if rows else 1
         batches = [rows[i * chunk : (i + 1) * chunk] for i in range(k)]
-        grown = Relation.from_rows(names, batches[0], name=tag)
+        grown = encoded_in(Relation.from_rows(names, batches[0], name=tag), storage)
         profiler = IncrementalProfiler(algorithm="muds", seed=0)
         result = profiler.profile_base(grown)
         for batch in batches[1:]:
