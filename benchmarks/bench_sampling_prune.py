@@ -3,8 +3,11 @@
 For each Fig. 6/Fig. 7-style workload and profiler, runs the identical
 profile twice — sampling on and sampling off — and reports the PLI
 intersections avoided (via the process-global kernel counters) and the
-wall-clock delta.  Exact-result parity between the two modes is asserted
-on every cell; a run that diverges is a bug, not a data point.
+wall-clock delta.  Sampling is not a setting of the profilers; the off
+side puts every planner on its exact-only bypass path (the one a
+deadline-pressed run takes) by patching ``ValidationPlanner.refutation``
+inside this benchmark.  Exact-result parity between the two modes is
+asserted on every cell; a run that diverges is a bug, not a data point.
 
 Standalone on purpose (no pytest-benchmark): the numbers of record are
 counter deltas, which are deterministic, so one comparison pass with a
@@ -22,15 +25,17 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.core.baseline import SequentialBaseline  # noqa: E402
+from repro.core.baseline import BaselineProfiler  # noqa: E402
 from repro.core.holistic_fun import HolisticFun  # noqa: E402
 from repro.core.muds import Muds  # noqa: E402
 from repro.datasets.generators import ionosphere_like, uniprot_like  # noqa: E402
 from repro.pli.pli import KERNEL_STATS  # noqa: E402
+from repro.sampling import ValidationPlanner  # noqa: E402
 
 DEFAULT_OUTPUT = Path("benchmarks/results/BENCH_sampling_prune.json")
 
@@ -49,18 +54,31 @@ SMOKE_WORKLOADS = [
 ]
 
 PROFILERS = {
-    "muds": lambda sampling: Muds(seed=0, sampling=sampling),
-    "hfun": lambda sampling: HolisticFun(sampling=sampling),
-    "baseline": lambda sampling: SequentialBaseline(seed=0, sampling=sampling),
+    "muds": lambda: Muds(seed=0),
+    "hfun": HolisticFun,
+    "baseline": lambda: BaselineProfiler(seed=0),
 }
+
+
+@contextmanager
+def _exact_only():
+    """Every planner on its bypass path: ``refutation()`` answers ``None``,
+    so no candidate is refuted and each one takes the exact PLI check."""
+    refutation = ValidationPlanner.refutation
+    ValidationPlanner.refutation = lambda self: None
+    try:
+        yield
+    finally:
+        ValidationPlanner.refutation = refutation
 
 
 def _run_once(name: str, sampling: bool, relation):
     """One fresh profile; returns (result, seconds, kernel intersections)."""
-    profiler = PROFILERS[name](sampling)
+    profiler = PROFILERS[name]()
     before = KERNEL_STATS.snapshot()
     started = time.perf_counter()
-    result = profiler.profile(relation)
+    with nullcontext() if sampling else _exact_only():
+        result = profiler.profile(relation)
     seconds = time.perf_counter() - started
     intersections = KERNEL_STATS.delta(before)["pli_intersections"]
     return result, seconds, intersections

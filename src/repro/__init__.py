@@ -20,7 +20,7 @@ Quickstart::
 """
 
 from .core.adaptive import AdaptiveProfiler
-from .core.baseline import BaselineProfiler, SequentialBaseline
+from .core.baseline import BaselineProfiler
 from .core.holistic_fun import HolisticFun
 from .core.muds import Muds
 from .core.profiler import choose_algorithm, profile
@@ -44,7 +44,6 @@ __all__ = [
     "Muds",
     "ProfilingResult",
     "Relation",
-    "SequentialBaseline",
     "UCC",
     "choose_algorithm",
     "guarded",

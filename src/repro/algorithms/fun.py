@@ -31,6 +31,7 @@ from ..pli.pli import PLI
 from ..pli.store import PliStore
 from ..relation.columnset import bit, direct_subsets, full_mask, iter_bits
 from ..relation.relation import Relation
+from ..sampling.harvester import MAX_ROWS
 
 __all__ = ["fun", "fun_on_relation", "FunResult"]
 
@@ -79,13 +80,11 @@ def fun(index: RelationIndex) -> FunResult:
     # yields no refutations (sample groupings only refine toward empty as
     # lhs masks grow).
     planner = index.planner
-    consult_sample = planner is not None
+    consult_sample = True
     # A refuted rhs skips a scan of up to n_clustered_rows probe entries;
-    # the sample query costs up to max_rows per rhs.  Demand a 4x margin
+    # the sample query costs up to MAX_ROWS per rhs.  Demand a 4x margin
     # so early-aborting exact scans still lose to the sample on average.
-    consult_floor = (
-        4 * planner.config.max_rows if planner is not None else 0
-    )
+    consult_floor = 4 * MAX_ROWS
     # Current level of free sets: mask -> PLI.
     level: dict[int, PLI] = {bit(c): index.column_pli(c) for c in range(n)}
     cards: dict[int, int] = {mask: pli.distinct_count for mask, pli in level.items()}
@@ -101,8 +100,7 @@ def fun(index: RelationIndex) -> FunResult:
             # The frontier dict's iteration order is semantic (apriori_gen
             # walks it), so it round-trips as an ordered pair list, never
             # sorted.  ``consult_sample`` carries the zero-yield cutoff
-            # across the kill; it can only stay on if a planner exists in
-            # this process too.
+            # across the kill.
             level_number = state["level"]
             level = {
                 mask: _ckpt.pli_from_state(pli)
@@ -115,7 +113,7 @@ def fun(index: RelationIndex) -> FunResult:
             fd_checks = state["fd_checks"]
             intersections = state["intersections"]
             free_sets = state["free_sets"]
-            consult_sample = state["consult_sample"] and planner is not None
+            consult_sample = state["consult_sample"]
     try:
         while level:
             tracer = _trace.ACTIVE

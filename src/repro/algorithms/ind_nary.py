@@ -191,7 +191,6 @@ class NaryIndAcross:
 def discover_nary_inds_across(
     relations: Sequence[Relation],
     max_arity: int = 2,
-    sampling: object = False,
     unary: (
         list[tuple[tuple[int, int], tuple[int, int]]] | None
     ) = None,
@@ -199,8 +198,8 @@ def discover_nary_inds_across(
     """Level-wise n-ary IND discovery over the union of several relations.
 
     The unary level comes from :func:`~repro.algorithms.spider.spider_across`
-    (every column of every relation in one merge, optionally prefiltered
-    by the sampling value probes); higher arities extend only candidates
+    (every column of every relation in one merge, prefiltered by the
+    sampling value probes); higher arities extend only candidates
     whose dependent positions share one relation and whose referenced
     positions share another (possibly the same), because position-wise
     tuple containment is only defined within a row.  INDs of every arity
@@ -213,7 +212,7 @@ def discover_nary_inds_across(
     if max_arity < 1:
         raise ValueError("max_arity must be at least 1")
     if unary is None:
-        unary = spider_across(relations, sampling=sampling)
+        unary = spider_across(relations)
     unary_across = [
         NaryIndAcross(dep_rel, (dep_col,), ref_rel, (ref_col,))
         for (dep_rel, dep_col), (ref_rel, ref_col) in unary

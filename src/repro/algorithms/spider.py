@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Sequence
-from typing import TYPE_CHECKING
 
 from .. import checkpointing as _ckpt
 from .. import trace as _trace
@@ -25,10 +24,9 @@ from ..guard import checkpoint
 from ..pli.index import RelationIndex
 from ..pli.store import PliStore
 from ..relation.relation import Relation
+from ..sampling.harvester import IND_PROBE_VALUES, SEED
+from ..sampling.planner import probe_ind_refs
 from .values import canonical_value
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..sampling.harvester import SamplingConfig
 
 __all__ = ["spider", "spider_on_relation", "spider_across"]
 
@@ -135,9 +133,7 @@ def spider(index: RelationIndex) -> list[tuple[int, int]]:
     ckpt = _ckpt.ACTIVE
     resuming = ckpt is not None and ckpt.resume("spider") is not None
     initial_refs = (
-        index.planner.prefilter_ind_refs(sorted_values)
-        if index.planner is not None and not resuming
-        else None
+        None if resuming else index.planner.prefilter_ind_refs(sorted_values)
     )
     with _trace.span("spider.merge", columns=n) as merge_span:
         refs = _merge_candidates(sorted_values, initial_refs, checkpoint_stage="spider")
@@ -160,7 +156,6 @@ def spider_on_relation(
 
 def spider_across(
     relations: Sequence[Relation],
-    sampling: "SamplingConfig | bool | None" = False,
     checkpoint_stage: str | None = None,
 ) -> list[tuple[tuple[int, int], tuple[int, int]]]:
     """Unary INDs across several relations — SPIDER's original setting.
@@ -171,12 +166,10 @@ def spider_across(
     ``(relation_index, column_index)`` locators, dependent first; INDs
     between columns of the *same* relation are included.
 
-    ``sampling`` arms the seeded value-probe prefilter over the *union*
-    of all relations' columns (``False`` — the historical default — runs
-    the merge unfiltered; ``None``/``True``/a config enable it as
-    elsewhere).  The probe is pure set membership, so prefiltering is an
-    exact refutation step and the discovered INDs are identical with it
-    on or off.
+    The seeded value-probe prefilter runs over the *union* of all
+    relations' columns.  The probe is pure set membership, so prefiltering
+    is an exact refutation step: it only clears pairs a missing value
+    disproves.
 
     With ``checkpoint_stage`` set and a checkpoint session active, the
     merge saves its cursor every ``merge_stride`` steps under that stage
@@ -184,9 +177,6 @@ def spider_across(
     skips the prefilter, whose effect is already embedded in the restored
     candidate sets (same contract as :func:`spider`).
     """
-    from ..sampling.harvester import resolve_sampling
-    from ..sampling.planner import probe_ind_refs
-
     locators: list[tuple[int, int]] = []
     sorted_values: list[list[str]] = []
     with _trace.span("spider.sort", relations=len(relations)) as sort_span:
@@ -203,13 +193,12 @@ def spider_across(
                     )
                 )
         sort_span.set(columns=len(locators))
-    config = resolve_sampling(sampling)
     ckpt = _ckpt.ACTIVE if checkpoint_stage is not None else None
     resuming = ckpt is not None and ckpt.resume(checkpoint_stage) is not None
     initial_refs = None
-    if config is not None and not resuming:
+    if not resuming:
         initial_refs, _, _ = probe_ind_refs(
-            sorted_values, config.ind_probe_values, config.seed
+            sorted_values, IND_PROBE_VALUES, SEED
         )
     with _trace.span("spider.merge", columns=len(locators)) as merge_span:
         refs = _merge_candidates(

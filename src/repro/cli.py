@@ -6,7 +6,7 @@ Examples::
     python -m repro data.csv --algorithm muds --json result.json
     python -m repro --dataset bridges --stats
     python -m repro data.csv --delimiter ';' --no-header --max-rows 5000
-    python -m repro data.csv --algorithm baseline --jobs 3
+    python -m repro data.csv --algorithm baseline
     python -m repro data.csv --pli-backend numpy
     python -m repro big.csv --storage mmap
     python -m repro data.csv --no-result-cache
@@ -61,7 +61,7 @@ from .metadata.results import ProfilingResult
 from .metadata.serialize import dumps
 from .pli import backend as _pli_backend
 from .relation.csv_io import read_csv
-from .relation.encoded import STORAGE_MODES, EncodedColumn, encode_column
+from .relation.encoded import STORAGE_MODES, encode_column
 from .relation.relation import Relation
 
 __all__ = [
@@ -110,33 +110,11 @@ def _input_options(
 
 
 def _algorithm_options(parser: argparse.ArgumentParser, algorithm: str) -> None:
-    """Algorithm choice, walk seed, and the sampling switch."""
+    """Algorithm choice and walk seed."""
     parser.add_argument(
         "--algorithm", choices=ALGORITHMS, default="auto", help=algorithm
     )
     parser.add_argument("--seed", type=int, default=0, help="random-walk seed")
-    sampling = parser.add_mutually_exclusive_group()
-    sampling.add_argument(
-        "--sampling",
-        dest="sampling",
-        action="store_true",
-        default=True,
-        help="enable the sampling-driven refutation engine (default): "
-        "candidates refuted by a small row sample skip their exact PLI "
-        "check; sampling only refutes, never accepts, so results are "
-        "exact either way",
-    )
-    sampling.add_argument(
-        "--no-sampling",
-        dest="sampling",
-        action="store_false",
-        help="disable sample-based refutation; every candidate is "
-        "validated on the exact PLI path",
-    )
-
-
-def _jobs_option(parser: argparse.ArgumentParser, help: str) -> None:
-    parser.add_argument("--jobs", type=int, default=1, metavar="N", help=help)
 
 
 def _budget_options(parser: argparse.ArgumentParser) -> None:
@@ -393,12 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also print per-column statistics",
     )
     _budget_options(parser)
-    _jobs_option(
-        parser,
-        "worker processes for the baseline algorithm's three independent "
-        "tasks (SPIDER, DUCC, FUN); the holistic algorithms are single "
-        "search processes and run with one",
-    )
     _substrate_options(parser)
     _result_cache_options(parser)
     _checkpoint_option(
@@ -438,32 +410,23 @@ def _load(args: argparse.Namespace) -> Relation:
             delimiter=args.delimiter,
             has_header=not args.no_header,
             storage=storage,
+            max_rows=args.max_rows,
         )
-        if args.max_rows is not None:
-            relation = relation.head(args.max_rows)
     if not args.keep_duplicates:
         relation = relation.deduplicated()
-    return _encoded_in(relation, storage)
+    return _encoded_in(relation, storage) if args.dataset else relation
 
 
 def _encoded_in(relation: Relation, storage: str) -> Relation:
-    """``relation`` with every column encoded in ``storage``.
-
-    A built-in dataset holds values, and ``head()``/``deduplicated()``
-    return values when they drop rows; those columns are encoded here,
-    so the profile reads its codes from where ``--storage`` put them.
-    Columns the CSV read encoded already are kept.
-    """
-    columns = [relation.column(i) for i in range(relation.n_columns)]
-    if all(isinstance(column, EncodedColumn) for column in columns):
-        return relation
+    """A built-in dataset (which holds values) with every column encoded
+    in ``storage``, so the profile reads its codes from where
+    ``--storage`` put them.  A CSV read encodes there itself, and
+    ``deduplicated()`` keeps that encoding."""
     return Relation(
         relation.column_names,
         [
-            column
-            if isinstance(column, EncodedColumn)
-            else encode_column(column, storage=storage)
-            for column in columns
+            encode_column(relation.column(i), storage=storage)
+            for i in range(relation.n_columns)
         ],
         name=relation.name,
     )
@@ -515,8 +478,6 @@ class _Profiler:
             algorithm=self.algorithm,
             seed=self.args.seed,
             verify_completeness=not self.args.as_published,
-            jobs=self.args.jobs,
-            sampling=self.args.sampling,
         )
 
 
@@ -657,13 +618,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.no_result_cache or budget is not None
         else ResultCache(_cache_root(args))
     )
-    # ``sampling`` and ``pli_backend`` are part of the key for counter
+    # ``pli_backend`` and ``storage`` are part of the key for counter
     # transparency only — discovered metadata is exact (thus identical)
     # in all modes.
     cache_config = {
         "seed": args.seed,
         "as_published": args.as_published,
-        "sampling": args.sampling,
         "pli_backend": _pli_backend.ACTIVE.name,
         "storage": args.storage or "encoded",
     }
@@ -676,8 +636,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             algorithm=algorithm,
             seed=args.seed,
             verify_completeness=not args.as_published,
-            jobs=args.jobs,
-            sampling=args.sampling,
         )
     framework = Framework()
     framework.register(algorithm, lambda: _Profiler(args, algorithm, incremental))
@@ -802,10 +760,13 @@ def build_schema_parser() -> argparse.ArgumentParser:
         ),
     )
     _input_options(parser, "schema root; every *.csv below it is one table")
-    _jobs_option(
-        parser,
-        "worker processes for the per-table profiling sweep (default: 1, "
-        "serial)",
+    parser.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        metavar="N",
+        help="worker processes for the per-table profiling sweep "
+        "(default: 1, serial)",
     )
     _algorithm_options(
         parser, "per-table algorithm (default: the §6.5 heuristic per table)"
@@ -883,7 +844,6 @@ def schema_main(argv: Sequence[str]) -> int:
                 jobs=args.jobs,
                 algorithm=args.algorithm,
                 seed=args.seed,
-                sampling=args.sampling,
                 budget=_budget(args),
                 checkpoints=(
                     CheckpointStore(checkpoint_dir) if checkpoint_dir else None
@@ -988,7 +948,6 @@ def watch_main(argv: Sequence[str]) -> int:
                 args.directory,
                 algorithm=args.algorithm,
                 seed=args.seed,
-                sampling=args.sampling,
                 delimiter=args.delimiter,
                 has_header=not args.no_header,
                 interval=args.interval,

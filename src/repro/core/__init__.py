@@ -1,7 +1,7 @@
 """Holistic profiling algorithms: MUDS, Holistic FUN, sequential baseline."""
 
 from .adaptive import AdaptiveProfiler, prefer_muds
-from .baseline import BaselineProfiler, SequentialBaseline
+from .baseline import BaselineProfiler
 from .check_cache import CheckCache
 from .fds_first import FdsFirstProfiler, candidate_keys_from_fds, closure_of
 from .holistic_fun import HolisticFun
@@ -25,7 +25,6 @@ __all__ = [
     "Muds",
     "MudsReport",
     "ProposedRelation",
-    "SequentialBaseline",
     "SublatticeStats",
     "candidate_keys_from_fds",
     "choose_algorithm",

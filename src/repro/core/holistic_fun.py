@@ -21,9 +21,9 @@ from ..algorithms.fun import FunResult, fun
 from ..algorithms.spider import spider
 from ..guard import BudgetExceeded
 from ..metadata.results import ProfilingResult
+from ..pli.index import RelationIndex
 from ..pli.store import PliStore
 from ..relation.relation import Relation
-from ..sampling import SamplingConfig
 
 __all__ = ["HolisticFun"]
 
@@ -31,17 +31,12 @@ __all__ = ["HolisticFun"]
 class HolisticFun:
     """Holistic FUN profiler: one input pass, three result sets.
 
-    ``sampling`` configures the refutation engine of the private store
-    (``None``/``True`` default, ``False`` off); an explicit ``store``
-    keeps its own setting.
+    ``store`` is the shared PLI substrate; a private store is created when
+    omitted.
     """
 
-    def __init__(
-        self,
-        store: PliStore | None = None,
-        sampling: SamplingConfig | bool | None = None,
-    ):
-        self.store = store if store is not None else PliStore(sampling=sampling)
+    def __init__(self, store: PliStore | None = None):
+        self.store = store if store is not None else PliStore()
 
     def profile(self, relation: Relation) -> ProfilingResult:
         """Profile a relation: shared read/PLI pass, SPIDER, then FUN with
@@ -119,17 +114,16 @@ class HolisticFun:
         inds: list[tuple[int, int]],
         fun_result: FunResult,
         phase_seconds: dict[str, float],
-        index=None,
+        index: RelationIndex,
     ) -> ProfilingResult:
         counters = {
             "fd_checks": fun_result.fd_checks,
             "pli_intersections": fun_result.intersections,
             "free_sets": fun_result.free_sets,
         }
-        if index is not None and index.planner is not None:
-            for key, value in index.planner.stats().items():
-                if isinstance(value, int):
-                    counters[key] = value
+        for key, value in index.planner.stats().items():
+            if isinstance(value, int):
+                counters[key] = value
         return ProfilingResult.from_masks(
             relation_name=relation.name,
             column_names=relation.column_names,

@@ -41,7 +41,6 @@ from ..lattice.search import LatticeSearch
 from ..metadata.results import ProfilingResult
 from ..pli.index import RelationIndex
 from ..pli.store import PliStore
-from ..sampling import SamplingConfig
 from ..relation.columnset import bit, full_mask, iter_bits
 from ..relation.relation import Relation
 from .check_cache import CheckCache
@@ -86,10 +85,6 @@ class Muds:
     store:
         Shared PLI store the profiler obtains its relation index from; a
         private store is created when omitted.
-    sampling:
-        Sampling-driven refutation configuration for the private store
-        (``None``/``True`` default engine, ``False`` off).  Ignored when
-        an explicit ``store`` is passed — the store's setting wins.
     """
 
     def __init__(
@@ -99,7 +94,6 @@ class Muds:
         use_ucc_pruning: bool = True,
         shadowed_passes: int = 1,
         store: PliStore | None = None,
-        sampling: SamplingConfig | bool | None = None,
     ):
         if shadowed_passes < 0:
             raise ValueError("shadowed_passes must be non-negative")
@@ -107,7 +101,7 @@ class Muds:
         self.verify_completeness = verify_completeness
         self.use_ucc_pruning = use_ucc_pruning
         self.shadowed_passes = shadowed_passes
-        self.store = store if store is not None else PliStore(sampling=sampling)
+        self.store = store if store is not None else PliStore()
 
     # -- public API -----------------------------------------------------------
 
@@ -353,10 +347,9 @@ class Muds:
         )
         if cache is not None:
             report.counters["check_cache_hits"] = cache.memo_hits
-        if index.planner is not None:
-            for key, value in index.planner.stats().items():
-                if isinstance(value, int):
-                    report.counters[key] = value
+        for key, value in index.planner.stats().items():
+            if isinstance(value, int):
+                report.counters[key] = value
 
     # -- internals ---------------------------------------------------------------
 

@@ -15,7 +15,6 @@ from ..metadata.results import ProfilingResult
 from ..pli import backend as _backend
 from ..pli.store import PliStore
 from ..relation.relation import Relation
-from ..sampling import SamplingConfig
 from .baseline import BaselineProfiler
 from .holistic_fun import HolisticFun
 from .muds import Muds
@@ -42,8 +41,6 @@ def profile(
     algorithm: str = "auto",
     seed: int = 0,
     verify_completeness: bool = True,
-    jobs: int | None = None,
-    sampling: SamplingConfig | bool | None = None,
 ) -> ProfilingResult:
     """Discover all unary INDs, minimal UCCs, and minimal FDs of a relation.
 
@@ -61,16 +58,6 @@ def profile(
         Random seed for walk-based algorithms (deterministic runs).
     verify_completeness:
         Forwarded to :class:`Muds`; certifies the FD set exact.
-    jobs:
-        Worker-process count for the ``"baseline"`` algorithm, whose
-        three tasks (SPIDER, DUCC, FUN) are independent by definition;
-        ``None``/``1`` keeps the paper's sequential execution.  The
-        holistic algorithms are single search processes and ignore it.
-    sampling:
-        Sampling-driven refutation engine: ``None``/``True`` enables the
-        default two-stage validation (row-sample refutation before exact
-        PLI checks — results stay exact either way), ``False`` disables
-        it, a :class:`~repro.sampling.SamplingConfig` tunes it.
 
     The PLIs are built from the columns' codes wherever those live: a
     relation ``read_csv(storage="mmap")`` built keeps them in spill
@@ -99,8 +86,6 @@ def profile(
             algorithm,
             seed=seed,
             verify_completeness=verify_completeness,
-            jobs=jobs,
-            sampling=sampling,
         )
 
 
@@ -109,8 +94,6 @@ def _dispatch(
     algorithm: str,
     seed: int = 0,
     verify_completeness: bool = True,
-    jobs: int | None = None,
-    sampling: SamplingConfig | bool | None = None,
     store: PliStore | None = None,
 ) -> ProfilingResult:
     """Run ``algorithm`` on ``relation`` (``"auto"``: the §6.5 rule).
@@ -124,13 +107,8 @@ def _dispatch(
         algorithm = choose_algorithm(relation)
     if algorithm == "muds":
         return Muds(
-            seed=seed,
-            verify_completeness=verify_completeness,
-            store=store,
-            sampling=sampling,
+            seed=seed, verify_completeness=verify_completeness, store=store
         ).profile(relation)
     if algorithm == "holistic_fun":
-        return HolisticFun(store=store, sampling=sampling).profile(relation)
-    return BaselineProfiler(
-        seed=seed, store=store, jobs=jobs, sampling=sampling
-    ).profile(relation)
+        return HolisticFun(store=store).profile(relation)
+    return BaselineProfiler(seed=seed, store=store).profile(relation)

@@ -30,7 +30,7 @@ from typing import Any, Callable, Iterable, Mapping, Protocol
 
 from .. import trace as _trace
 from ..checkpointing import active_session
-from ..core.baseline import SequentialBaseline
+from ..core.baseline import BaselineProfiler
 from ..core.holistic_fun import HolisticFun
 from ..core.muds import Muds
 from ..guard import Budget, BudgetExceeded, guarded
@@ -41,7 +41,6 @@ from ..metadata.serialize import result_from_dict, result_to_dict
 from ..pli import backend as _backend
 from ..pli.pli import KERNEL_STATS
 from ..relation.relation import Relation
-from ..sampling import SamplingConfig
 from .result_cache import ResultCache
 
 __all__ = [
@@ -500,18 +499,12 @@ def _empty_result(relation: Relation) -> ProfilingResult:
     )
 
 
-def default_framework(
-    seed: int = 0,
-    faithful_muds: bool = True,
-    sampling: "SamplingConfig | bool | None" = None,
-) -> Framework:
+def default_framework(seed: int = 0, faithful_muds: bool = True) -> Framework:
     """Framework with the paper's four contenders registered.
 
     ``faithful_muds`` selects the as-published MUDS configuration
     (``verify_completeness=False``) used for benchmark comparisons; pass
     ``False`` to benchmark the exactness-certifying default instead.
-    ``sampling`` configures every contender's refutation engine uniformly
-    (``None``/``True`` default on, ``False`` off).
     """
     from ..algorithms.tane import TaneResult, tane
     from ..pli.store import PliStore
@@ -520,7 +513,7 @@ def default_framework(
         """TANE wrapped as a (FD-only) profiler for Table 3 comparisons."""
 
         def __init__(self) -> None:
-            self.store = PliStore(sampling=sampling)
+            self.store = PliStore()
 
         def profile(self, relation: Relation) -> ProfilingResult:
             index = self.store.index_for(relation)
@@ -550,17 +543,10 @@ def default_framework(
             )
 
     framework = Framework()
+    framework.register("baseline", lambda: BaselineProfiler(seed=seed))
+    framework.register("hfun", HolisticFun)
     framework.register(
-        "baseline", lambda: SequentialBaseline(seed=seed, sampling=sampling)
-    )
-    framework.register("hfun", lambda: HolisticFun(sampling=sampling))
-    framework.register(
-        "muds",
-        lambda: Muds(
-            seed=seed,
-            verify_completeness=not faithful_muds,
-            sampling=sampling,
-        ),
+        "muds", lambda: Muds(seed=seed, verify_completeness=not faithful_muds)
     )
     framework.register("tane", lambda: _TaneProfiler(), fd_only=True)
     return framework

@@ -47,7 +47,6 @@ from ..metadata.results import ProfilingResult
 from ..pli.store import PliStore
 from ..relation.columnset import bit, full_mask, is_proper_subset, is_subset
 from ..relation.relation import Relation
-from ..sampling import SamplingConfig
 from ..sampling.refutation import RefutationIndex
 
 __all__ = ["IncrementalProfiler"]
@@ -67,8 +66,6 @@ class IncrementalProfiler:
         algorithm: str = "auto",
         seed: int = 0,
         verify_completeness: bool = True,
-        jobs: int | None = None,
-        sampling: SamplingConfig | bool | None = None,
         store: PliStore | None = None,
     ):
         if algorithm not in ALGORITHMS:
@@ -78,9 +75,7 @@ class IncrementalProfiler:
         self.algorithm = algorithm
         self.seed = seed
         self.verify_completeness = verify_completeness
-        self.jobs = jobs
-        self.sampling = sampling
-        self.store = store if store is not None else PliStore(sampling=sampling)
+        self.store = store if store is not None else PliStore()
 
     # -- base profile --------------------------------------------------------
 
@@ -97,8 +92,6 @@ class IncrementalProfiler:
             self.algorithm,
             seed=self.seed,
             verify_completeness=self.verify_completeness,
-            jobs=self.jobs,
-            sampling=self.sampling,
             store=self.store,
         )
 

@@ -24,7 +24,6 @@ from .. import trace as _trace
 from ..metadata.results import ProfilingResult
 from ..relation.csv_io import read_csv
 from ..relation.relation import Relation
-from ..sampling import SamplingConfig
 from .profiler import IncrementalProfiler
 
 __all__ = ["watch_directory"]
@@ -34,8 +33,6 @@ def watch_directory(
     directory: str,
     algorithm: str = "auto",
     seed: int = 0,
-    sampling: SamplingConfig | bool | None = None,
-    jobs: int | None = None,
     delimiter: str = ",",
     has_header: bool = True,
     interval: float = 0.5,
@@ -59,9 +56,7 @@ def watch_directory(
     root = Path(directory)
     if not root.is_dir():
         raise OSError(f"not a directory: {directory}")
-    profiler = IncrementalProfiler(
-        algorithm=algorithm, seed=seed, sampling=sampling, jobs=jobs
-    )
+    profiler = IncrementalProfiler(algorithm=algorithm, seed=seed)
     processed: set[str] = set()
     relation: Relation | None = None
     result: ProfilingResult | None = None

@@ -302,8 +302,8 @@ def canonical_catalog_dumps(catalog: "SchemaCatalog") -> str:
     :func:`canonical_metadata_dumps`), the cross-table INDs, the FK
     ranking with its exact scores, and the deterministic catalog-level
     counters.  Two schema sweeps of the same directory serialize to
-    byte-identical strings regardless of ``jobs``, sampling, storage
-    mode, or whether a run resumed from a kill — the form the schema
+    byte-identical strings regardless of ``jobs``, storage mode, or
+    whether a run resumed from a kill — the form the schema
     differential suite compares.
     """
     document = {

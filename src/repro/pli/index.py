@@ -27,7 +27,7 @@ from typing import Any
 from ..guard import checkpoint
 from ..relation.columnset import bit, iter_bits, lowest_bit
 from ..relation.relation import Relation
-from ..sampling import SamplingConfig, ValidationPlanner, resolve_sampling
+from ..sampling import ValidationPlanner
 from . import backend as _backend
 from .cache import PliCache
 from .delta import AppendDelta, ColumnDelta, merge_column, merge_composite
@@ -45,19 +45,13 @@ class RelationIndex:
         The (ideally duplicate-free, see §3) input relation.
     cache_capacity:
         Bound on memoized composite PLIs; single columns are always kept.
-    sampling:
-        Sampling-driven refutation engine configuration (``None``/``True``
-        for the default, ``False`` to disable).  When enabled, the check
-        methods consult the engine's row sample before paying for PLI
-        intersections — refutation only, so results are exact either way.
+
+    The check methods consult the index's
+    :class:`~repro.sampling.ValidationPlanner` (its row sample) before
+    paying for PLI intersections — refutation only, so results are exact.
     """
 
-    def __init__(
-        self,
-        relation: Relation,
-        cache_capacity: int = 4096,
-        sampling: SamplingConfig | bool | None = None,
-    ):
+    def __init__(self, relation: Relation, cache_capacity: int = 4096):
         self.relation = relation
         self.n_rows = relation.n_rows
         self.n_columns = relation.n_columns
@@ -72,11 +66,8 @@ class RelationIndex:
         self.intersections = 0
         self.fd_checks = 0
         self.uniqueness_checks = 0
-        config = resolve_sampling(sampling)
-        #: Stage-1 refutation seam (None when sampling is disabled).
-        self.planner: ValidationPlanner | None = (
-            ValidationPlanner(self, config) if config is not None else None
-        )
+        #: Stage-1 refutation seam.
+        self.planner = ValidationPlanner(self)
         #: Per-column occurrence state for delta-PLI maintenance; seeded
         #: lazily on the first append (one pass over the pre-append rows).
         self._deltas: list[ColumnDelta | None] | None = None
@@ -189,11 +180,7 @@ class RelationIndex:
         # Stage 1: a sampled duplicate refutes the UCC without touching
         # the PLI path.  Only consulted when the exact PLI is not already
         # memoized (a cached exact answer is cheaper than a sample scan).
-        if (
-            self.planner is not None
-            and self.cache.peek(mask) is None
-            and self.planner.refutes_ucc(mask)
-        ):
+        if self.cache.peek(mask) is None and self.planner.refutes_ucc(mask):
             return False
         return self.pli(mask).is_unique
 
@@ -206,9 +193,7 @@ class RelationIndex:
         checkpoint()
         rhs_vector = self._vectors[rhs_index]
         if lhs_mask == 0:
-            if self.planner is not None and self.planner.refutes_fd(
-                0, rhs_index
-            ):
+            if self.planner.refutes_fd(0, rhs_index):
                 return False
             return len(set(rhs_vector)) <= 1
         if lhs_mask >> rhs_index & 1:
@@ -216,10 +201,8 @@ class RelationIndex:
         # Stage 1: two sampled rows agreeing on lhs but not rhs refute the
         # FD before any intersection is paid for (see is_unique for the
         # cache gating rationale).
-        if (
-            self.planner is not None
-            and self.cache.peek(lhs_mask) is None
-            and self.planner.refutes_fd(lhs_mask, rhs_index)
+        if self.cache.peek(lhs_mask) is None and self.planner.refutes_fd(
+            lhs_mask, rhs_index
         ):
             return False
         return self.pli(lhs_mask).refines(rhs_vector)
@@ -229,9 +212,8 @@ class RelationIndex:
 
         Batch form of :meth:`check_fd`; a single PLI is reused across all
         candidate right-hand sides (this is what makes grouped checks in
-        MUDS' minimization cheap).  With sampling enabled the PLI is built
-        lazily — when the sample refutes every candidate, no intersection
-        happens at all.
+        MUDS' minimization cheap).  The PLI is built lazily — when the
+        sample refutes every candidate, no intersection happens at all.
         """
         valid = 0
         checkpoint()
@@ -239,12 +221,12 @@ class RelationIndex:
         if lhs_mask == 0:
             for rhs in iter_bits(candidates_mask):
                 self.fd_checks += 1
-                if planner is not None and planner.refutes_fd(0, rhs):
+                if planner.refutes_fd(0, rhs):
                     continue
                 if len(set(self._vectors[rhs])) <= 1:
                     valid |= bit(rhs)
             return valid
-        consult = planner is not None and self.cache.peek(lhs_mask) is None
+        consult = self.cache.peek(lhs_mask) is None
         pli: PLI | None = None
         for rhs in iter_bits(candidates_mask):
             self.fd_checks += 1
@@ -275,9 +257,8 @@ class RelationIndex:
         deferred for a lazy delta-merge from their old clusters on the
         next request (falling back to exact recomputation only when the
         merge's old-singleton scan would approach a full pass).  The
-        sampling planner's
-        harvested evidence is dropped so later refutation samples see the
-        appended rows.
+        sampling planner's harvested evidence is dropped so later
+        refutation samples see the appended rows.
 
         Returns the :class:`~repro.pli.delta.AppendDelta` describing the
         perturbation (collision partners, per-column perturbed rows, new
@@ -373,8 +354,7 @@ class RelationIndex:
 
         self.n_rows = new_n_rows
         delta.partner_rows = tuple(sorted(partners))
-        if self.planner is not None:
-            self.planner.reset_evidence()
+        self.planner.reset_evidence()
         return delta
 
     # -- checkpoint round-trip -------------------------------------------------
@@ -394,7 +374,7 @@ class RelationIndex:
             "fd_checks": self.fd_checks,
             "uniqueness_checks": self.uniqueness_checks,
             "cache": self.cache.state(),
-            "planner": self.planner.state() if self.planner is not None else None,
+            "planner": self.planner.state(),
         }
 
     def restore(self, state: dict[str, Any]) -> None:
@@ -403,8 +383,7 @@ class RelationIndex:
         self.fd_checks = state["fd_checks"]
         self.uniqueness_checks = state["uniqueness_checks"]
         self.cache.restore(state["cache"])
-        if self.planner is not None and state["planner"] is not None:
-            self.planner.restore(state["planner"])
+        self.planner.restore(state["planner"])
 
     # -- accounting -----------------------------------------------------------
 
@@ -417,8 +396,7 @@ class RelationIndex:
             "uniqueness_checks": self.uniqueness_checks,
         }
         counters.update(self.cache.stats())
-        if self.planner is not None:
-            counters.update(self.planner.stats())
+        counters.update(self.planner.stats())
         return counters
 
     def __repr__(self) -> str:

@@ -24,7 +24,6 @@ from typing import Any
 from .. import trace as _trace
 from ..faults import FAULTS, INCREMENTAL_APPEND
 from ..relation.relation import Relation
-from ..sampling import SamplingConfig
 from . import backend as _backend
 from .delta import AppendDelta
 from .index import RelationIndex
@@ -41,18 +40,10 @@ class PliStore:
     cache_capacity:
         Forwarded to every :class:`RelationIndex` this store builds
         (bound on memoized composite PLIs; single columns always kept).
-    sampling:
-        Sampling-driven refutation configuration forwarded to every index
-        (``None``/``True`` for the default engine, ``False`` to disable).
     """
 
-    def __init__(
-        self,
-        cache_capacity: int = 4096,
-        sampling: SamplingConfig | bool | None = None,
-    ):
+    def __init__(self, cache_capacity: int = 4096):
         self.cache_capacity = cache_capacity
-        self.sampling = sampling
         self._indexes: dict[str, tuple[Relation, RelationIndex]] = {}
         #: Index builds performed (one per distinct relation seen).
         self.builds = 0
@@ -89,11 +80,7 @@ class PliStore:
             rows=relation.n_rows,
             backend=_backend.ACTIVE.name,
         ):
-            index = RelationIndex(
-                relation,
-                cache_capacity=self.cache_capacity,
-                sampling=self.sampling,
-            )
+            index = RelationIndex(relation, cache_capacity=self.cache_capacity)
         self._indexes[fingerprint] = (relation, index)
         self.builds += 1
         tracer = _trace.ACTIVE

@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import io
 from collections.abc import Iterable, Iterator
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 from typing import TextIO
 
@@ -42,6 +42,7 @@ def read_csv(
     null_values: Iterable[str] = DEFAULT_NULLS,
     name: str | None = None,
     storage: str = "encoded",
+    max_rows: int | None = None,
 ) -> Relation:
     """Read a CSV file (or open handle) into a :class:`Relation`.
 
@@ -88,8 +89,14 @@ def read_csv(
         ``"mmap"`` in memory-mapped spill files.  An unknown mode raises
         :class:`~repro.relation.encoded.StorageUnavailable` before
         anything is read.
+    max_rows:
+        Stop after this many data rows (``None``: read them all).  The
+        rows after them are neither read, encoded nor hashed; the
+        fingerprint equals that of the whole file's ``head(max_rows)``.
     """
     storage = resolve_storage(storage)
+    if max_rows is not None and max_rows < 0:
+        raise ValueError(f"max_rows must be non-negative, got {max_rows}")
     if isinstance(source, (str, Path)):
         path = Path(source)
         # utf-8-sig: a UTF-8 BOM (as written by Excel and many Windows
@@ -103,6 +110,7 @@ def read_csv(
                 null_values=null_values,
                 name=name or path.stem,
                 storage=storage,
+                max_rows=max_rows,
             )
 
     # A bare string is a single NULL marker, not an iterable of
@@ -126,6 +134,8 @@ def read_csv(
     else:
         header = [f"column_{i}" for i in range(len(first))]
         rows = chain([(1, first)], rows)  # the first data row was line 1
+    if max_rows is not None:
+        rows = islice(rows, max_rows)
     width = len(header)
 
     hashers = [_column_hasher(str(column_name)) for column_name in header]

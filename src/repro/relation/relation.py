@@ -119,6 +119,16 @@ def _combine_column_digests(
     return final.hexdigest()
 
 
+def _kept(column: Sequence[Value], values: Sequence[Value]) -> Sequence[Value]:
+    """``values`` (the rows kept from ``column``) in ``column``'s
+    representation: re-encoded in its storage mode when ``column`` is
+    encoded, so a relation read into ``mmap`` stays there; as they are
+    when it holds values."""
+    if isinstance(column, EncodedColumn):
+        return encode_column(values, storage=column.storage)
+    return values
+
+
 class Relation:
     """An immutable, column-oriented table.
 
@@ -437,12 +447,16 @@ class Relation:
         )
 
     def head(self, n_rows: int, name: str | None = None) -> "Relation":
-        """Return a new relation containing only the first ``n_rows`` rows."""
+        """Return a new relation containing only the first ``n_rows`` rows.
+
+        An encoded column stays encoded in its storage mode (its kept
+        rows are re-encoded there); a column of values stays values.
+        """
         if n_rows < 0:
             raise ValueError("n_rows must be non-negative")
         return Relation(
             self._names,
-            [col[:n_rows] for col in self._columns],
+            [_kept(col, col[:n_rows]) for col in self._columns],
             name=name or self._name,
         )
 
@@ -450,7 +464,8 @@ class Relation:
         """Drop duplicate rows, keeping first occurrences (paper §3).
 
         The holistic algorithms assume a duplicate-free input; a relation
-        with two identical rows has no UCC at all.
+        with two identical rows has no UCC at all.  Columns keep their
+        representation, as in :meth:`head`.
         """
         seen: set[tuple[Value, ...]] = set()
         keep: list[int] = []
@@ -469,7 +484,7 @@ class Relation:
             return self
         return Relation(
             self._names,
-            [[col[i] for i in keep] for col in self._columns],
+            [_kept(col, [col[i] for i in keep]) for col in self._columns],
             name=name or self._name,
         )
 

@@ -10,24 +10,15 @@ substrate and the algorithms consult.
 Exactness argument: a violation observed in a sample of the relation is a
 violation in the relation, so the engine can *refute* candidates with
 zero PLI work but never *accept* one — every surviving candidate is still
-validated exactly.  Discovered metadata is therefore bit-identical with
-and without sampling (the differential suite pins this).
+validated exactly.  Discovered metadata is therefore exact (the
+differential suite checks every algorithm against brute-force oracles on
+relations larger than the sample).  The engine is part of the PLI
+substrate, not a setting: every index owns a planner, and its tuning
+values are the constants of :mod:`~repro.sampling.harvester`.
 """
 
-from .harvester import (
-    DEFAULT_SAMPLING,
-    SamplingConfig,
-    focused_sample,
-    resolve_sampling,
-)
+from .harvester import focused_sample
 from .planner import ValidationPlanner
 from .refutation import RefutationIndex
 
-__all__ = [
-    "DEFAULT_SAMPLING",
-    "RefutationIndex",
-    "SamplingConfig",
-    "ValidationPlanner",
-    "focused_sample",
-    "resolve_sampling",
-]
+__all__ = ["RefutationIndex", "ValidationPlanner", "focused_sample"]

@@ -13,14 +13,13 @@ tops the sample up with uniform leftovers — those still matter for
 empty-lhs (constant-column) checks and IND value probes.
 
 Everything is seeded and size-capped, so a harvest is a pure function of
-``(relation, config)``: reruns, parallel workers, and differential tests
-all see the same sample.
+the relation: reruns, parallel workers, and differential tests all see
+the same sample.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..faults import FAULTS, SAMPLING_HARVEST
@@ -30,99 +29,53 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..pli.index import RelationIndex
 
 __all__ = [
-    "DEFAULT_SAMPLING",
-    "SamplingConfig",
+    "IND_PROBE_VALUES",
+    "MAX_ROWS",
+    "MIN_HARVEST_SECONDS",
+    "PER_CLUSTER",
+    "SEED",
     "focused_sample",
-    "resolve_sampling",
 ]
 
-
-@dataclass(frozen=True, slots=True)
-class SamplingConfig:
-    """Tuning knobs of the refutation engine.
-
-    Parameters
-    ----------
-    enabled:
-        Master switch; a disabled config behaves like no config at all.
-    max_rows:
-        Size cap on the harvested sample.  Refutation queries scan at
-        most this many positions, which bounds the stage-1 overhead paid
-        by candidates that survive to the exact path.
-    seed:
-        Seed for the in-cluster and top-up draws (deterministic harvests).
-    per_cluster:
-        Rows drawn from one single-column cluster per round-robin visit;
-        at least two (a lone cluster member witnesses nothing).
-    ind_probe_values:
-        Distinct values sampled per dependent column by SPIDER's IND
-        prefilter; each is probed against the full referenced value set,
-        so a miss is an exact refutation.
-    min_harvest_seconds:
-        Deadline guard: when an active :class:`~repro.guard.Budget` has
-        less wall-clock remaining than this, harvesting is skipped
-        entirely and every candidate goes straight to the exact path —
-        sampling must never convert an ``ok`` run into a ``timeout``.
-    """
-
-    enabled: bool = True
-    max_rows: int = 128
-    seed: int = 0
-    per_cluster: int = 8
-    ind_probe_values: int = 8
-    min_harvest_seconds: float = 0.1
-
-    def __post_init__(self) -> None:
-        if self.max_rows < 0:
-            raise ValueError(f"max_rows must be >= 0, got {self.max_rows}")
-        if self.per_cluster < 2:
-            raise ValueError(
-                f"per_cluster must be >= 2, got {self.per_cluster}"
-            )
-        if self.ind_probe_values < 1:
-            raise ValueError(
-                f"ind_probe_values must be >= 1, got {self.ind_probe_values}"
-            )
-        if self.min_harvest_seconds < 0:
-            raise ValueError(
-                "min_harvest_seconds must be non-negative, got "
-                f"{self.min_harvest_seconds}"
-            )
+#: Size cap on the harvested sample.  Refutation queries scan at most
+#: this many positions, which bounds the stage-1 overhead paid by
+#: candidates that survive to the exact path.
+MAX_ROWS = 128
+#: Seed for the in-cluster, top-up and IND-probe draws (deterministic
+#: harvests).
+SEED = 0
+#: Rows drawn from one single-column cluster per round-robin visit; at
+#: least two (a lone cluster member witnesses nothing).
+PER_CLUSTER = 8
+#: Distinct values sampled per dependent column by SPIDER's IND
+#: prefilter; each is probed against the full referenced value set, so a
+#: miss is an exact refutation.
+IND_PROBE_VALUES = 8
+#: Deadline guard: when an active :class:`~repro.guard.Budget` has less
+#: wall-clock remaining than this, harvesting is skipped entirely and
+#: every candidate goes straight to the exact path — sampling must never
+#: convert an ``ok`` run into a ``timeout``.
+MIN_HARVEST_SECONDS = 0.1
 
 
-#: The profilers' default configuration (sampling on).
-DEFAULT_SAMPLING = SamplingConfig()
-
-
-def resolve_sampling(
-    sampling: SamplingConfig | bool | None,
-) -> SamplingConfig | None:
-    """Normalize the ``sampling=`` argument accepted across the stack.
-
-    ``None``/``True`` mean the default (enabled) configuration, ``False``
-    disables the engine, and an explicit :class:`SamplingConfig` is used
-    as given (``None`` when it is itself disabled).
-    """
-    if sampling is None or sampling is True:
-        return DEFAULT_SAMPLING
-    if sampling is False:
-        return None
-    return sampling if sampling.enabled else None
-
-
-def focused_sample(index: "RelationIndex", config: SamplingConfig) -> list[int]:
+def focused_sample(
+    index: "RelationIndex",
+    max_rows: int = MAX_ROWS,
+    seed: int = SEED,
+    per_cluster: int = PER_CLUSTER,
+) -> list[int]:
     """Harvest a deterministic row sample of ``index``'s relation.
 
-    Returns sorted row ids, at most ``config.max_rows`` of them.  Each
-    selected row trips the :data:`~repro.faults.SAMPLING_HARVEST` fault
-    point, so the fault campaign can interrupt a harvest mid-flight.
+    Returns sorted row ids, at most ``max_rows`` of them.  Each selected
+    row trips the :data:`~repro.faults.SAMPLING_HARVEST` fault point, so
+    the fault campaign can interrupt a harvest mid-flight.
     """
     n_rows = index.n_rows
-    cap = min(config.max_rows, n_rows)
+    cap = min(max_rows, n_rows)
     if cap <= 1:
         # One row witnesses nothing; keep the degenerate sample empty.
         return []
-    rng = random.Random(config.seed)
+    rng = random.Random(seed)
     chosen: set[int] = set()
 
     def add(row: int) -> None:
@@ -147,7 +100,7 @@ def focused_sample(index: "RelationIndex", config: SamplingConfig) -> list[int]:
             if budget_left <= 0:
                 break
             cluster = clusters[rank]
-            take = min(config.per_cluster, len(cluster), budget_left)
+            take = min(per_cluster, len(cluster), budget_left)
             picked = (
                 rng.sample(cluster, take) if take < len(cluster) else cluster
             )

@@ -1,18 +1,18 @@
 """The two-stage validation seam consulted by the PLI substrate.
 
 A :class:`ValidationPlanner` sits next to the shared
-:class:`~repro.pli.index.RelationIndex` (one planner per index, created
-by the index when sampling is enabled) and answers one question: *can
-this candidate be refuted without exact PLI work?*  Stage 1 lazily
+:class:`~repro.pli.index.RelationIndex` (every index owns one) and
+answers one question: *can this candidate be refuted without exact PLI
+work?*  Stage 1 lazily
 harvests the relation's violation sample on the first query; stage 2 —
 the exact path — is whatever the caller does when the answer is "no".
 
 Cooperation with the execution guards: harvesting is skipped when the
 active :class:`~repro.guard.Budget` has less deadline left than
-``config.min_harvest_seconds`` (the engine then refutes nothing, which is
-always safe), so sampling can never convert an ``ok`` run into a
-``timeout``.  The decision is made once per planner — a deadline-pressed
-run stays on the exact path throughout.
+:data:`~repro.sampling.harvester.MIN_HARVEST_SECONDS` (the engine then
+refutes nothing, which is always safe), so sampling can never convert an
+``ok`` run into a ``timeout``.  The decision is made once per planner — a
+deadline-pressed run stays on the exact path throughout.
 
 Trace surface (all behind the usual ``ACTIVE is None`` guard): a
 ``sampling.harvest`` span around stage 1, a ``sampling.bypass`` event
@@ -31,7 +31,13 @@ from typing import TYPE_CHECKING
 
 from .. import guard as _guard
 from .. import trace as _trace
-from .harvester import SamplingConfig, focused_sample
+from .harvester import (
+    IND_PROBE_VALUES,
+    MAX_ROWS,
+    MIN_HARVEST_SECONDS,
+    SEED,
+    focused_sample,
+)
 from .refutation import RefutationIndex
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -98,7 +104,6 @@ class ValidationPlanner:
 
     __slots__ = (
         "_index",
-        "config",
         "bypassed",
         "harvest_rows",
         "harvest_seconds",
@@ -112,7 +117,7 @@ class ValidationPlanner:
         "_attempted",
     )
 
-    def __init__(self, index: "RelationIndex", config: SamplingConfig):
+    def __init__(self, index: "RelationIndex"):
         # Weak back-reference: the index owns its planner, so a strong
         # reference here would turn every index/planner pair into cyclic
         # garbage that only a collector pass frees.  Encoded-storage runs
@@ -120,7 +125,6 @@ class ValidationPlanner:
         # each uncollected pair pins two single-column PLIs (plus their
         # kernel arrays) — per-pair profiling sweeps leak gigabytes.
         self._index = weakref.ref(index)
-        self.config = config
         #: True when the deadline guard skipped the harvest for this run.
         self.bypassed = False
         self.harvest_rows = 0
@@ -166,10 +170,7 @@ class ValidationPlanner:
         budget = _guard.ACTIVE
         if budget is not None:
             remaining = budget.remaining_seconds
-            if (
-                remaining is not None
-                and remaining < self.config.min_harvest_seconds
-            ):
+            if remaining is not None and remaining < MIN_HARVEST_SECONDS:
                 self.bypassed = True
                 tracer = _trace.ACTIVE
                 if tracer is not None:
@@ -185,9 +186,9 @@ class ValidationPlanner:
             "sampling.harvest",
             relation=index.relation.name,
             rows=index.n_rows,
-            max_rows=self.config.max_rows,
+            max_rows=MAX_ROWS,
         ) as span:
-            rows = focused_sample(index, self.config)
+            rows = focused_sample(index)
             refutation = RefutationIndex(
                 rows, [index.vector(c) for c in range(index.n_columns)]
             )
@@ -271,16 +272,17 @@ class ValidationPlanner:
         """SPIDER's sampled value-probe prefilter.
 
         For each dependent attribute, probes up to
-        ``config.ind_probe_values`` seeded-sampled values against the
-        *full* value set of every other attribute; a missing value is an
-        exact witness against the IND, and the returned per-attribute
-        reference masks start the merge phase with those pairs already
-        cleared.  Returns ``None`` when the engine is bypassed.
+        :data:`~repro.sampling.harvester.IND_PROBE_VALUES` seeded-sampled
+        values against the *full* value set of every other attribute; a
+        missing value is an exact witness against the IND, and the
+        returned per-attribute reference masks start the merge phase with
+        those pairs already cleared.  Returns ``None`` when the engine is
+        bypassed.
         """
         if self.refutation() is None:
             return None
         refs, queries, refuted = probe_ind_refs(
-            value_lists, self.config.ind_probe_values, self.config.seed
+            value_lists, IND_PROBE_VALUES, SEED
         )
         self.ind_queries += queries
         self.ind_refuted += refuted
@@ -323,7 +325,7 @@ class ValidationPlanner:
         """Query/refutation counters for intra-execution checkpoints.
 
         Only the counters travel: the refutation index itself is rebuilt
-        deterministically (same relation, same config) on first use after
+        deterministically (same relation, same sample) on first use after
         a resume, so restoring the counters makes a resumed run's totals
         equal pre-crash work plus replay — the undisturbed values.
         """

@@ -26,10 +26,10 @@ The paper profiles one relation at a time; real datasets arrive as a
 
 Everything merges into a :class:`~repro.schema.catalog.SchemaCatalog`
 (JSON face in :mod:`repro.metadata.serialize`).  The catalog is
-bit-identical across ``jobs=1`` vs ``jobs=N`` and sampling on/off — the
-schema differential suite in ``tests/schema/`` enforces that, the same
-contract the single-relation paths carry.  Tables are read with their
-column codes in memory (the ``encoded`` storage mode).
+bit-identical across ``jobs=1`` vs ``jobs=N`` and matches brute-force
+oracles — the schema differential suite in ``tests/schema/`` enforces
+that, the same contract the single-relation paths carry.  Tables are
+read with their column codes in memory (the ``encoded`` storage mode).
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ from ..harness.result_cache import config_key
 from ..harness.runner import ExperimentRunner, SweepJournal
 from ..relation.csv_io import read_csv
 from ..relation.relation import Relation
-from ..sampling import SamplingConfig
 from .catalog import CrossTableInd, SchemaCatalog, TableProfile, schema_fingerprint
 from .fk import ColumnFacts, rank_fk_candidates
 
@@ -111,11 +110,7 @@ def load_table(
     )
 
 
-def schema_framework(
-    seed: int = 0,
-    sampling: SamplingConfig | bool | None = None,
-    algorithm: str = "auto",
-) -> Framework:
+def schema_framework(seed: int = 0, algorithm: str = "auto") -> Framework:
     """Framework with the single ``"schema"`` profiler registered: the
     :func:`repro.core.profiler.profile` facade (§6.5 auto-selection by
     default, or one pinned algorithm for every table).
@@ -132,9 +127,7 @@ def schema_framework(
 
     class _SchemaProfiler:
         def profile(self, relation: Relation):
-            return _profile(
-                relation, algorithm=algorithm, seed=seed, sampling=sampling
-            )
+            return _profile(relation, algorithm=algorithm, seed=seed)
 
     framework = Framework()
     framework.register("schema", _SchemaProfiler)
@@ -162,7 +155,7 @@ def _column_facts(relation: Relation) -> dict[str, ColumnFacts]:
 class SchemaJob:
     """One multi-table profiling job over a directory of CSVs.
 
-    ``algorithm``/``seed``/``sampling`` configure every table's profiler
+    ``algorithm``/``seed`` configure every table's profiler
     uniformly; ``jobs`` fans the per-table executions out to a process
     pool; ``budget`` bounds each table's execution *and* the cross-table
     merge (TL/ML cells in the catalog, never an exception);
@@ -178,7 +171,6 @@ class SchemaJob:
     has_header: bool = True
     algorithm: str = "auto"
     seed: int = 0
-    sampling: SamplingConfig | bool | None = None
     jobs: int | None = None
     budget: Budget | None = None
     checkpoints: "CheckpointStore | None" = None
@@ -308,18 +300,7 @@ class SchemaJob:
         """The execution configuration keying result-cache and checkpoint
         cells: everything besides the input that can change a table's
         profile (or the work plan a resume must match)."""
-        if isinstance(self.sampling, SamplingConfig):
-            from dataclasses import asdict
-
-            sampling: Any = asdict(self.sampling)
-        else:
-            sampling = "default" if self.sampling in (None, True) else "off"
-        return {
-            "schema": 1,
-            "algorithm": self.algorithm,
-            "seed": self.seed,
-            "sampling": sampling,
-        }
+        return {"schema": 1, "algorithm": self.algorithm, "seed": self.seed}
 
     def _profile_tables(
         self,
@@ -341,11 +322,7 @@ class SchemaJob:
                 "has_header": self.has_header,
             },
         )
-        framework_kwargs = {
-            "seed": self.seed,
-            "sampling": self.sampling,
-            "algorithm": self.algorithm,
-        }
+        framework_kwargs = {"seed": self.seed, "algorithm": self.algorithm}
         runner = ExperimentRunner(
             schema_framework(**framework_kwargs), algorithms=("schema",)
         )
@@ -426,9 +403,7 @@ class SchemaJob:
                 try:
                     with guarded(self.budget), active_session(session):
                         pairs = spider_across(
-                            ordered,
-                            sampling=self.sampling,
-                            checkpoint_stage="schema.cross",
+                            ordered, checkpoint_stage="schema.cross"
                         )
                 except BudgetExceeded as stop:
                     status, error = stop.reason, str(stop)
@@ -492,7 +467,6 @@ def profile_schema(
     jobs: int | None = None,
     algorithm: str = "auto",
     seed: int = 0,
-    sampling: SamplingConfig | bool | None = None,
     budget: Budget | None = None,
     checkpoints: "CheckpointStore | None" = None,
     resume: bool = True,
@@ -511,7 +485,6 @@ def profile_schema(
         has_header=has_header,
         algorithm=algorithm,
         seed=seed,
-        sampling=sampling,
         jobs=jobs,
         budget=budget,
         checkpoints=checkpoints,

@@ -229,14 +229,14 @@ def test_schema_registers_sampling_names():
 
 
 def test_sampling_events_validate_and_surface_in_trace():
-    """A sampled profile emits the registered sampling.* events and the
-    full trace still validates against the default schema."""
+    """A profile emits the registered sampling.* events and the full
+    trace still validates against the default schema."""
     from repro.core.profiler import profile
     from repro.datasets.generators import uniprot_like
 
     tracer = trace.enable()
     try:
-        profile(uniprot_like(200, seed=1), algorithm="muds", sampling=True)
+        profile(uniprot_like(200, seed=1), algorithm="muds")
     finally:
         trace.disable()
     validate_events(tracer.events)

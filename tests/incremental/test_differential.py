@@ -3,9 +3,9 @@ results bit-identical to profiling the grown relation from scratch.
 
 Seeded random relations are split into a base and an append batch; the
 maintained result is compared (``same_metadata``) against a fresh
-profile of the whole relation — across every algorithm the profiler
-dispatches to, every kernel backend, every storage mode, sampling on and
-off, and (for the parallel baseline) jobs=1 vs jobs=2.
+profile of the whole relation, which samples like every profile, and
+against the brute-force oracle, which is exact — across every algorithm
+the profiler dispatches to, every kernel backend and every storage mode.
 """
 
 from __future__ import annotations
@@ -14,12 +14,19 @@ import random
 
 import pytest
 
+from repro.algorithms.naive import naive_fds, naive_inds, naive_uccs
 from repro.incremental import IncrementalProfiler
 from repro.pli import available_backends, use_backend
 from repro.relation import Relation
 from repro.relation.encoded import STORAGE_MODES
 
-from ..conftest import encoded_in, random_relation
+from ..conftest import (
+    encoded_in,
+    fds_as_pairs,
+    inds_as_pairs,
+    random_relation,
+    uccs_as_masks,
+)
 
 SEED = 20160315
 ALGORITHMS = ("muds", "holistic_fun", "baseline")
@@ -40,9 +47,11 @@ def _split_cases(seed: int, n_cases: int, min_rows: int = 4):
 
 
 def _check_maintained(
-    names, base_rows, batch_rows, algorithm, sampling, jobs=None, storage=None
+    names, base_rows, batch_rows, algorithm, exact=False, storage=None
 ):
-    """``storage=None`` keeps the relations' columns values (encoded in
+    """Compare with a fresh profile, or with ``exact`` the oracle.
+
+    ``storage=None`` keeps the relations' columns values (encoded in
     memory on first use); a mode encodes them there up front."""
 
     def build(rows):
@@ -50,27 +59,26 @@ def _check_maintained(
         return relation if storage is None else encoded_in(relation, storage)
 
     grown = build(base_rows)
-    profiler = IncrementalProfiler(
-        algorithm=algorithm, seed=0, sampling=sampling, jobs=jobs
-    )
+    profiler = IncrementalProfiler(algorithm=algorithm, seed=0)
     prior = profiler.profile_base(grown)
     maintained = profiler.maintain(grown, batch_rows, prior)
     whole = build(base_rows + batch_rows)
-    fresh = IncrementalProfiler(
-        algorithm=algorithm, seed=0, sampling=sampling, jobs=jobs
-    ).profile_base(whole)
     assert grown.fingerprint() == whole.fingerprint()
-    assert maintained.same_metadata(fresh), (
-        f"maintained {algorithm} result diverged on "
-        f"base={base_rows} batch={batch_rows}"
-    )
+    where = f"{algorithm} on base={base_rows} batch={batch_rows}"
+    if exact:
+        assert fds_as_pairs(maintained, whole) == naive_fds(whole), where
+        assert uccs_as_masks(maintained, whole) == naive_uccs(whole), where
+        assert inds_as_pairs(maintained, whole) == naive_inds(whole), where
+        return
+    fresh = IncrementalProfiler(algorithm=algorithm, seed=0)
+    assert maintained.same_metadata(fresh.profile_base(whole)), where
 
 
-@pytest.mark.parametrize("sampling", [True, False], ids=["sampling", "exact"])
+@pytest.mark.parametrize("exact", [False, True], ids=["sampling", "exact"])
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_maintained_equals_from_scratch(algorithm, sampling):
+def test_maintained_equals_from_scratch(algorithm, exact):
     for names, base_rows, batch_rows in _split_cases(SEED, 20):
-        _check_maintained(names, base_rows, batch_rows, algorithm, sampling)
+        _check_maintained(names, base_rows, batch_rows, algorithm, exact)
 
 
 @pytest.mark.parametrize("storage_mode", STORAGE_MODES)
@@ -80,16 +88,8 @@ def test_backend_storage_matrix(backend_name, storage_mode, tmp_path, monkeypatc
     with use_backend(backend_name):
         for names, base_rows, batch_rows in _split_cases(SEED + 7, 6):
             _check_maintained(
-                names, base_rows, batch_rows, "muds", True, storage=storage_mode
+                names, base_rows, batch_rows, "muds", storage=storage_mode
             )
-
-
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_parallel_baseline(jobs):
-    for names, base_rows, batch_rows in _split_cases(SEED + 13, 4):
-        _check_maintained(
-            names, base_rows, batch_rows, "baseline", True, jobs=jobs
-        )
 
 
 def test_multiple_batches_compose():

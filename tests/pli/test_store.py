@@ -9,7 +9,7 @@ from repro.algorithms.fun import fun_on_relation
 from repro.algorithms.spider import spider_on_relation
 from repro.algorithms.tane import tane_on_relation
 from repro.core.adaptive import AdaptiveProfiler
-from repro.core.baseline import SequentialBaseline
+from repro.core.baseline import BaselineProfiler
 from repro.core.fds_first import FdsFirstProfiler
 from repro.core.holistic_fun import HolisticFun
 from repro.core.muds import Muds
@@ -81,7 +81,7 @@ class TestCrossAlgorithmSharing:
             "tane": lambda: tane_on_relation(relation, store=store),
             "muds": lambda: Muds(store=store).profile(relation),
             "hfun": lambda: HolisticFun(store=store).profile(relation),
-            "baseline": lambda: SequentialBaseline(store=store).profile(relation),
+            "baseline": lambda: BaselineProfiler(store=store).profile(relation),
             "fds_first": lambda: FdsFirstProfiler(store=store).profile(relation),
             "adaptive": lambda: AdaptiveProfiler(store=store).profile(relation),
             "statistics": lambda: profile_statistics(relation, store=store),

@@ -105,14 +105,21 @@ class TestTransformations(_InStorage):
             self.make(employees).head(-1)
 
     def test_head_and_deduplicated_return_values(self, employees):
-        # Neither encodes: the rows they keep come back as values.
+        # Both keep each column's representation: values stay values, and
+        # an encoded column is re-encoded in its own storage mode, so a
+        # relation read into mmap stays there.
         employees = self.make(employees)
         duplicated = self.make(
             Relation.from_rows(["A", "B"], [(1, 2), (1, 2), (3, 4)])
         )
         for derived in (employees.head(2), duplicated.deduplicated()):
             for index in range(derived.n_columns):
-                assert not isinstance(derived.column(index), EncodedColumn)
+                column = derived.column(index)
+                if self.storage is None:
+                    assert not isinstance(column, EncodedColumn)
+                else:
+                    assert column.storage == self.storage
+                    assert len(column.codes) == derived.n_rows
 
     def test_deduplicated_removes_duplicates(self):
         rel = self.make(Relation.from_rows(["A", "B"], [(1, 2), (1, 2), (3, 4)]))

@@ -7,12 +7,7 @@ import pytest
 from repro.faults import FAULTS, SAMPLING_HARVEST, FaultInjected
 from repro.pli.index import RelationIndex
 from repro.relation.relation import Relation
-from repro.sampling import (
-    DEFAULT_SAMPLING,
-    SamplingConfig,
-    focused_sample,
-    resolve_sampling,
-)
+from repro.sampling import focused_sample
 
 
 def _relation(rows, name="harvest"):
@@ -31,66 +26,45 @@ def _clustered_relation() -> Relation:
     return _relation(rows)
 
 
-def test_resolve_sampling_semantics():
-    assert resolve_sampling(None) is DEFAULT_SAMPLING
-    assert resolve_sampling(True) is DEFAULT_SAMPLING
-    assert resolve_sampling(False) is None
-    custom = SamplingConfig(max_rows=16)
-    assert resolve_sampling(custom) is custom
-    assert resolve_sampling(SamplingConfig(enabled=False)) is None
-
-
-def test_config_validation():
-    with pytest.raises(ValueError, match="max_rows"):
-        SamplingConfig(max_rows=-1)
-    with pytest.raises(ValueError, match="per_cluster"):
-        SamplingConfig(per_cluster=1)
-    with pytest.raises(ValueError, match="ind_probe_values"):
-        SamplingConfig(ind_probe_values=0)
-    with pytest.raises(ValueError, match="min_harvest_seconds"):
-        SamplingConfig(min_harvest_seconds=-0.5)
-
-
 def test_sample_is_deterministic_capped_and_sorted():
-    index = RelationIndex(_clustered_relation(), sampling=False)
-    config = SamplingConfig(max_rows=10, seed=3)
-    sample = focused_sample(index, config)
-    assert sample == focused_sample(index, config)
+    index = RelationIndex(_clustered_relation())
+    sample = focused_sample(index, max_rows=10, seed=3)
+    assert sample == focused_sample(index, max_rows=10, seed=3)
     assert sample == sorted(set(sample))
     assert len(sample) == 10
     assert all(0 <= row < index.n_rows for row in sample)
-    assert focused_sample(index, SamplingConfig(max_rows=10, seed=4)) != sample
+    assert focused_sample(index, max_rows=10, seed=4) != sample
 
 
 def test_degenerate_relations_yield_empty_samples():
-    index = RelationIndex(_relation([("a", "b", "c")]), sampling=False)
-    assert focused_sample(index, DEFAULT_SAMPLING) == []
-    assert focused_sample(index, SamplingConfig(max_rows=0)) == []
+    index = RelationIndex(_relation([("a", "b", "c")]))
+    assert focused_sample(index) == []
+    assert focused_sample(index, max_rows=0) == []
 
 
 def test_full_budget_covers_every_row():
     relation = _clustered_relation()
-    index = RelationIndex(relation, sampling=False)
-    sample = focused_sample(index, SamplingConfig(max_rows=1000))
-    assert sample == list(range(relation.n_rows))
+    index = RelationIndex(relation)
+    # 40 rows fit under the default MAX_ROWS cap: the sample is all of them.
+    assert focused_sample(index) == list(range(relation.n_rows))
 
 
 def test_sample_focuses_on_large_clusters():
     """With a tight budget, the dominant single-column cluster must
     contribute at least a witness pair — that is the point of focusing."""
-    index = RelationIndex(_clustered_relation(), sampling=False)
-    sample = focused_sample(index, SamplingConfig(max_rows=6, seed=0))
+    index = RelationIndex(_clustered_relation())
+    sample = focused_sample(index, max_rows=6, seed=0)
     in_big_cluster = [row for row in sample if row < 30]
     assert len(in_big_cluster) >= 2
 
 
 def test_harvest_trips_the_fault_point():
-    index = RelationIndex(_clustered_relation(), sampling=False)
+    index = RelationIndex(_clustered_relation())
     FAULTS.arm(SAMPLING_HARVEST, at=2)
     try:
         with pytest.raises(FaultInjected):
-            focused_sample(index, SamplingConfig(max_rows=8))
+            focused_sample(index, max_rows=8)
     finally:
         FAULTS.disarm()
     # Disarmed, the same harvest completes.
-    assert len(focused_sample(index, SamplingConfig(max_rows=8))) == 8
+    assert len(focused_sample(index, max_rows=8)) == 8

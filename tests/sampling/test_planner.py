@@ -4,24 +4,34 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cli import build_parser
+from repro.algorithms.naive import naive_fds, naive_inds, naive_uccs
 from repro.core.muds import Muds
 from repro.datasets.generators import uniprot_like
 from repro.guard import Budget, guarded
 from repro.pli.index import RelationIndex
 from repro.pli.store import PliStore
 from repro.relation.relation import Relation
-from repro.sampling import SamplingConfig, ValidationPlanner
+from repro.sampling import ValidationPlanner
+
+from ..conftest import fds_as_pairs, inds_as_pairs, uccs_as_masks
 
 
 def _relation() -> Relation:
     return uniprot_like(200, seed=2)
 
 
+def _bypassed(index: RelationIndex) -> RelationIndex:
+    """``index`` with its planner on the exact-only bypass path: asked
+    for its sample under a nearly spent deadline, the planner refuses to
+    harvest, for good."""
+    with guarded(Budget(deadline_seconds=0.09, checkpoint_stride=1_000_000)):
+        assert index.planner.refutation() is None
+    return index
+
+
 def test_planner_is_lazy_and_harvests_once():
-    index = RelationIndex(_relation(), sampling=True)
+    index = RelationIndex(_relation())
     planner = index.planner
-    assert planner is not None
     assert planner.harvest_rows == 0  # nothing until the first query
     first = planner.refutation()
     assert first is not None
@@ -41,8 +51,7 @@ def test_index_planner_pair_frees_by_refcount_alone():
     import gc
     import weakref
 
-    index = RelationIndex(_relation(), sampling=True)
-    assert index.planner is not None
+    index = RelationIndex(_relation())
     ref = weakref.ref(index)
     gc.disable()
     try:
@@ -55,25 +64,19 @@ def test_index_planner_pair_frees_by_refcount_alone():
 def test_planner_reports_a_collected_index():
     """A standalone planner that outlives its index fails loudly, not
     with a dangling reference."""
-    planner = ValidationPlanner(
-        RelationIndex(_relation(), sampling=False), SamplingConfig()
-    )
+    planner = ValidationPlanner(RelationIndex(_relation()))
     with pytest.raises(ReferenceError):
         planner.index
 
 
-def test_disabled_sampling_has_no_planner():
-    assert RelationIndex(_relation(), sampling=False).planner is None
-    assert PliStore(sampling=False).index_for(_relation()).planner is None
-
-
 def test_refutations_save_intersections():
     relation = _relation()
-    sampled = RelationIndex(relation, sampling=True)
-    exact = RelationIndex(relation, sampling=False)
+    sampled = RelationIndex(relation)
+    exact = _bypassed(RelationIndex(relation))
     on = Muds(seed=0, store=_store_of(sampled)).profile(relation)
     off = Muds(seed=0, store=_store_of(exact)).profile(relation)
     assert on.same_metadata(off)
+    assert exact.planner.stats()["sampling_exact_avoided"] == 0
     planner = sampled.planner
     assert planner.fd_refuted + planner.ucc_refuted + planner.ind_refuted > 0
     assert sampled.intersections < exact.intersections
@@ -96,10 +99,8 @@ def test_deadline_guard_bypasses_harvest():
     """With less deadline left than min_harvest_seconds, the planner must
     refuse to harvest and pass everything to the exact path — sampling
     never turns an ok run into a timeout."""
-    index = RelationIndex(_relation(), sampling=True)
     # 0.09s remaining < the 0.1s floor: deterministically below the bar.
-    with guarded(Budget(deadline_seconds=0.09, checkpoint_stride=1_000_000)):
-        assert index.planner.refutation() is None
+    index = _bypassed(RelationIndex(_relation()))
     assert index.planner.bypassed
     assert index.planner.stats()["sampling_bypassed"] == 1
     # Bypassed is permanent for this planner: exact path everywhere,
@@ -113,17 +114,17 @@ def test_deadline_guard_bypasses_harvest():
 def test_tight_deadline_profile_matches_unbudgeted_results():
     """End to end: a sampled profile under a nearly-spent deadline still
     completes (the tiny input needs far less than the deadline) and its
-    metadata matches the unbudgeted exact run."""
+    metadata matches the brute-force oracle."""
     relation = uniprot_like(60, seed=5)
-    reference = Muds(seed=0, sampling=False).profile(relation)
-    profiler = Muds(seed=0, sampling=True)
     with guarded(Budget(deadline_seconds=30.0)):
-        budgeted = profiler.profile(relation)
-    assert budgeted.same_metadata(reference)
+        budgeted = Muds(seed=0).profile(relation)
+    assert fds_as_pairs(budgeted, relation) == naive_fds(relation)
+    assert uccs_as_masks(budgeted, relation) == naive_uccs(relation)
+    assert inds_as_pairs(budgeted, relation) == naive_inds(relation)
 
 
 def test_no_budget_means_no_bypass():
-    index = RelationIndex(_relation(), sampling=True)
+    index = RelationIndex(_relation())
     assert index.planner.refutation() is not None
     assert not index.planner.bypassed
 
@@ -131,8 +132,8 @@ def test_no_budget_means_no_bypass():
 def test_prefilter_clears_refuted_pairs_only():
     # The planner holds its index weakly (the index owns the planner in
     # normal use), so a standalone planner needs the index kept alive.
-    index = RelationIndex(_relation(), sampling=False)
-    planner = ValidationPlanner(index, SamplingConfig(ind_probe_values=4))
+    index = RelationIndex(_relation())
+    planner = ValidationPlanner(index)
     values = [["a", "b"], ["a", "b", "c"], ["z"]]
     refs = planner.prefilter_ind_refs(values)
     assert refs is not None
@@ -148,7 +149,7 @@ def test_prefilter_clears_refuted_pairs_only():
 def test_batched_refuted_rhs_counts_per_candidate():
     """The batched FD query must account queries/refutations per rhs bit,
     matching what the equivalent per-rhs queries would have recorded."""
-    index = RelationIndex(_relation(), sampling=True)
+    index = RelationIndex(_relation())
     planner = index.planner
     universe = (1 << index.n_columns) - 1
     refuted = planner.refuted_rhs(1, universe)
@@ -162,12 +163,3 @@ def test_batched_refuted_rhs_counts_per_candidate():
         if planner.refutes_fd(1, rhs)
     ]
     assert refuted == sum(1 << rhs for rhs in per_rhs)
-
-
-def test_cli_sampling_flags():
-    parser = build_parser()
-    assert parser.parse_args(["x.csv"]).sampling is True
-    assert parser.parse_args(["x.csv", "--sampling"]).sampling is True
-    assert parser.parse_args(["x.csv", "--no-sampling"]).sampling is False
-    with pytest.raises(SystemExit):
-        parser.parse_args(["x.csv", "--sampling", "--no-sampling"])

@@ -9,13 +9,13 @@ import pytest
 from repro.algorithms.naive import naive_fds, naive_uccs
 from repro.pli.index import RelationIndex
 from repro.relation.columnset import full_mask
-from repro.sampling import RefutationIndex, SamplingConfig, focused_sample
+from repro.sampling import RefutationIndex, focused_sample
 
 from ..conftest import random_relation
 
 
 def _vectors(relation):
-    index = RelationIndex(relation, sampling=False)
+    index = RelationIndex(relation)
     return index, [index.vector(c) for c in range(relation.n_columns)]
 
 
@@ -76,9 +76,7 @@ def test_partial_sample_refutation_is_sound():
         )
         n = relation.n_columns
         index, vectors = _vectors(relation)
-        rows = focused_sample(
-            index, SamplingConfig(max_rows=5, seed=case, per_cluster=2)
-        )
+        rows = focused_sample(index, max_rows=5, seed=case, per_cluster=2)
         refutation = RefutationIndex(rows, vectors)
         full = RefutationIndex(range(relation.n_rows), vectors)
 
@@ -115,9 +113,7 @@ def test_batched_refuted_rhs_matches_per_rhs_queries():
         relation = random_relation(rng, f"batch[{case}]", max_rows=15)
         n = relation.n_columns
         index, vectors = _vectors(relation)
-        rows = focused_sample(
-            index, SamplingConfig(max_rows=8, seed=case, per_cluster=2)
-        )
+        rows = focused_sample(index, max_rows=8, seed=case, per_cluster=2)
         for refutation in (
             RefutationIndex(rows, vectors),
             RefutationIndex(range(relation.n_rows), vectors),

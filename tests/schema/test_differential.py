@@ -1,24 +1,27 @@
-"""Schema differential suite: ~50 random seeds, one catalog identity.
+"""Schema differential suite: ~50 random seeds, one exact catalog.
 
-The schema job promises one catalog regardless of execution strategy:
-serial vs. process pool, sampling-refutation on vs. off.  Every seed
-writes a fresh random schema to disk, profiles it on the reference
-configuration, and asserts the canonical
-catalog form (:func:`~repro.metadata.serialize.canonical_catalog_dumps`
-— metadata, fingerprints, dedup structure, cross INDs, FK scores, and
-deterministic counters; no wall-clock) is byte-identical on each variant
-configuration.  Process pools are expensive to spawn, so ``jobs=2`` runs
-on a rotating subset of the seeds; the cheap variants run on all of
-them.
+The schema job promises one catalog regardless of execution strategy
+(serial vs. process pool), and that catalog is exact.  Every seed writes
+a fresh random schema to disk, profiles it serially, checks every
+table's metadata and the cross-table INDs against brute-force oracles,
+and asserts the canonical catalog form
+(:func:`~repro.metadata.serialize.canonical_catalog_dumps` — metadata,
+fingerprints, dedup structure, cross INDs, FK scores, and deterministic
+counters; no wall-clock) is byte-identical under a process pool.  Pools
+are expensive to spawn, so ``jobs=2`` runs on a rotating subset of the
+seeds.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.algorithms.naive import naive_fds, naive_inds, naive_uccs
 from repro.metadata.serialize import canonical_catalog_dumps
+from repro.relation.csv_io import read_csv
 from repro.schema import profile_schema
 
+from ..conftest import fds_as_pairs, inds_as_pairs, uccs_as_masks
 from .conftest import naive_cross_inds, seeded_schema, write_schema
 
 SEEDS = range(50)
@@ -31,8 +34,15 @@ def test_catalog_identity_across_configurations(seed, tmp_path):
     assert reference.ok
     canon = canonical_catalog_dumps(reference)
 
-    exact = profile_schema(root, seed=0, sampling=False)
-    assert canonical_catalog_dumps(exact) == canon
+    # Every profiled table agrees with the brute-force oracles.
+    for table in reference.tables:
+        if table.duplicate_of is not None:
+            continue
+        relation, result = read_csv(root / table.path), table.result
+        where = f"seed {seed}: {table.name}"
+        assert fds_as_pairs(result, relation) == naive_fds(relation), where
+        assert uccs_as_masks(result, relation) == naive_uccs(relation), where
+        assert inds_as_pairs(result, relation) == naive_inds(relation), where
 
     if seed % 7 == 0:  # pool spawns are the expensive variant
         pooled = profile_schema(root, seed=0, jobs=2)

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
-from repro.relation import Relation, write_csv
+from repro.relation import Relation, read_csv, write_csv
 from repro.relation.encoded import CODE_BYTES
 from repro.trace import read_jsonl
 
@@ -81,13 +81,26 @@ class TestErrors:
         assert main(["--dataset", "nope"]) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_objects_storage_mode_is_rejected(self, csv_path, capsys):
-        # "encoded" and "mmap" are the storage modes; "objects" is an
-        # unknown choice, which argparse rejects with exit status 2.
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            # "encoded" and "mmap" are the storage modes.
+            (["--storage", "objects"], "invalid choice: 'objects'"),
+            # Sampling is part of the PLI substrate, not a setting, and
+            # the baseline runs its three tasks in this process.
+            (["--no-sampling"], "unrecognized arguments: --no-sampling"),
+            (["--jobs", "2"], "unrecognized arguments: --jobs 2"),
+        ],
+        ids=["objects", "no-sampling", "jobs"],
+    )
+    def test_unknown_option_or_choice_is_rejected(
+        self, csv_path, capsys, options, message
+    ):
+        # argparse rejects them with exit status 2.
         with pytest.raises(SystemExit) as exit_info:
-            main([str(csv_path), "--storage", "objects"])
+            main([str(csv_path), *options])
         assert exit_info.value.code == 2
-        assert "invalid choice: 'objects'" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
 
 def spilled_bytes(trace_path) -> int:
@@ -121,9 +134,15 @@ class TestStorageFlag:
         trace = tmp_path / "trace.jsonl"
         argv = [str(path), "--storage", "mmap", "--max-rows", str(kept)]
         assert main([*argv, "--trace", str(trace)]) == 0
-        # The read spills every row; the cut to --max-rows spills the rows
-        # it keeps again, encoded for the profile.
-        assert spilled_bytes(trace) == (rows + kept) * columns * CODE_BYTES
+        # The read stops after the rows it keeps: only they are spilled.
+        assert spilled_bytes(trace) == kept * columns * CODE_BYTES
+        # The cut read is keyed like the whole file's head, so result-cache
+        # entries of earlier --max-rows runs keep hitting.
+        cut = read_csv(path, storage="mmap", max_rows=kept)
+        assert cut.fingerprint() == read_csv(path).head(kept).fingerprint()
+        assert cut.fingerprint() == (
+            "f2c89740d9eaf3867ffa2e514f3e2bdc0367d21cff06778fa22708d2f3988641"
+        )
 
     def test_dataset_profiles_mmap_columns(self, tmp_path, capsys):
         trace = tmp_path / "trace.jsonl"
@@ -260,7 +279,6 @@ class TestNumericFlags:
             ("csv", "--max-intersections", "-1"),
             ("csv", "--max-cluster-bytes", "-1"),
             ("csv", "--max-rows", "-5"),
-            ("csv", "--jobs", "0"),
             ("dataset", "--max-rows", "-5"),
             ("profile-schema", "--deadline", "-1"),
             ("profile-schema", "--max-intersections", "-1"),
@@ -287,16 +305,3 @@ class TestNumericFlags:
         captured = capsys.readouterr()
         assert f"error: {flag} must be >= " in captured.err
         assert captured.out == ""
-
-
-class TestJobsFlag:
-    def test_jobs_zero_rejected(self, csv_path, capsys):
-        assert main([str(csv_path), "--jobs", "0"]) == 2
-        assert "--jobs" in capsys.readouterr().err
-
-    def test_baseline_with_jobs(self, csv_path, capsys):
-        argv = [str(csv_path), "--algorithm", "baseline", "--jobs", "2",
-                "--no-result-cache"]
-        assert main(argv) == 0
-        out = capsys.readouterr().out
-        assert "minimal functional dependencies" in out

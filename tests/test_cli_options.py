@@ -11,10 +11,6 @@ from repro import cli
 
 ALGORITHMS = ("auto", "muds", "holistic_fun", "baseline")
 HELP = (("-h", "--help"), "help", "==SUPPRESS==", None, 0, None, False, "_HelpAction", None, None)
-SAMPLING = [
-    (("--sampling",), "sampling", True, None, 0, True, False, "_StoreTrueAction", None, None),
-    (("--no-sampling",), "sampling", True, None, 0, False, False, "_StoreFalseAction", None, None),
-]
 ALGORITHM = (("--algorithm",), "algorithm", "auto", ALGORITHMS, None, None, False, "_StoreAction", None, None)
 SEED = (("--seed",), "seed", 0, None, None, None, False, "_StoreAction", "int", None)
 DELIMITER = (("--delimiter",), "delimiter", ",", None, None, None, False, "_StoreAction", None, None)
@@ -36,13 +32,12 @@ OUTPUT = [
     (("--json",), "json", None, None, None, None, False, "_StoreAction", None, "PATH"),
 ]
 DIRECTORY = ((), "directory", None, None, None, None, True, "_StoreAction", None, None)
-SAMPLING_GROUP = (False, ("--no-sampling", "--sampling"))
 
 #: (option strings, dest, default, choices, nargs, const, required,
 #: action class, type, metavar) of every action, per parser.
 EXPECTED = {
     "build_parser": [
-        HELP, ALGORITHM, SEED, DELIMITER, NO_HEADER, *SAMPLING, *BUDGET, JOBS,
+        HELP, ALGORITHM, SEED, DELIMITER, NO_HEADER, *BUDGET,
         *SUBSTRATE, CHECKPOINT_DIR, RESULT_CACHE, *OUTPUT,
         ((), "csv", None, None, "?", None, False, "_StoreAction", None, None),
         (("--dataset",), "dataset", None, None, None, None, False, "_StoreAction", None, None),
@@ -54,13 +49,13 @@ EXPECTED = {
         (("--append",), "append", None, None, None, None, False, "_AppendAction", None, "BATCH_CSV"),
     ],
     "build_schema_parser": [
-        HELP, DIRECTORY, ALGORITHM, SEED, DELIMITER, NO_HEADER, *SAMPLING,
+        HELP, DIRECTORY, ALGORITHM, SEED, DELIMITER, NO_HEADER,
         *BUDGET, JOBS, CHECKPOINT_DIR, *OUTPUT,
         (("--no-resume",), "no_resume", False, None, 0, True, False, "_StoreTrueAction", None, None),
         (("--max-fk",), "max_fk", None, None, None, None, False, "_StoreAction", "int", "N"),
     ],
     "build_watch_parser": [
-        HELP, DIRECTORY, ALGORITHM, SEED, DELIMITER, NO_HEADER, *SAMPLING,
+        HELP, DIRECTORY, ALGORITHM, SEED, DELIMITER, NO_HEADER,
         *SUBSTRATE, *OUTPUT,
         (("--interval",), "interval", 2.0, None, None, None, False, "_StoreAction", "float", "SECONDS"),
         (("--once",), "once", False, None, 0, True, False, "_StoreTrueAction", None, None),
@@ -74,9 +69,9 @@ EXPECTED = {
 
 #: Mutually exclusive groups: (required, sorted option strings or dests).
 EXPECTED_GROUPS = {
-    "build_parser": [SAMPLING_GROUP, (True, ("--dataset", "csv"))],
-    "build_schema_parser": [SAMPLING_GROUP],
-    "build_watch_parser": [SAMPLING_GROUP],
+    "build_parser": [(True, ("--dataset", "csv"))],
+    "build_schema_parser": [],
+    "build_watch_parser": [],
     "build_cache_parser": [],
 }
 

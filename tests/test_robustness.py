@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro import HolisticFun, Muds, SequentialBaseline, profile
+from repro import BaselineProfiler, HolisticFun, Muds, profile
 from repro.algorithms import naive_fds, naive_uccs
 from repro.pli import RelationIndex
 from repro.relation import Relation, SchemaError
@@ -33,7 +33,7 @@ def degenerate_relations() -> list[Relation]:
 class TestDegenerateShapes:
     @pytest.mark.parametrize("rel", degenerate_relations(), ids=repr)
     def test_all_profilers_handle(self, rel):
-        for profiler in (Muds(), HolisticFun(), SequentialBaseline()):
+        for profiler in (Muds(), HolisticFun(), BaselineProfiler()):
             result = profiler.profile(rel)
             assert uccs_as_masks(result, rel) == naive_uccs(rel)
             assert fds_as_pairs(result, rel) == naive_fds(rel)
