@@ -19,7 +19,6 @@ Quickstart::
     print(result.inds, result.uccs, result.fds)
 """
 
-from .core.adaptive import AdaptiveProfiler
 from .core.baseline import BaselineProfiler
 from .core.holistic_fun import HolisticFun
 from .core.muds import Muds
@@ -32,7 +31,6 @@ from .relation import ColumnSet, Relation, read_csv, read_csv_text, write_csv
 __version__ = "1.0.0"
 
 __all__ = [
-    "AdaptiveProfiler",
     "BaselineProfiler",
     "Budget",
     "BudgetExceeded",

@@ -2,7 +2,6 @@
 
 from .ducc import DuccResult, ducc, ducc_on_relation
 from .fun import FunResult, fun, fun_on_relation
-from .ind_nary import NaryInd, discover_nary_inds
 from .naive import holds_fd, is_unique, naive_fds, naive_inds, naive_uccs
 from .spider import spider, spider_across, spider_on_relation
 from .tane import TaneResult, tane, tane_on_relation
@@ -11,10 +10,8 @@ from .values import canonical_value
 __all__ = [
     "DuccResult",
     "FunResult",
-    "NaryInd",
     "TaneResult",
     "canonical_value",
-    "discover_nary_inds",
     "ducc",
     "ducc_on_relation",
     "fun",

@@ -16,7 +16,7 @@ is why :func:`spider` consumes a :class:`~repro.pli.index.RelationIndex`.
 from __future__ import annotations
 
 import heapq
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 from .. import checkpointing as _ckpt
 from .. import trace as _trace
@@ -29,6 +29,12 @@ from ..sampling.planner import probe_ind_refs
 from .values import canonical_value
 
 __all__ = ["spider", "spider_on_relation", "spider_across"]
+
+
+def _sorted_distinct(values: Iterable) -> list[str]:
+    """SPIDER's sorting phase for one column: its duplicate-free values
+    (a column dictionary), canonicalized, without NULL, in sorted order."""
+    return sorted({canonical_value(v) for v in values if v is not None})
 
 
 def _merge_candidates(
@@ -117,14 +123,7 @@ def spider(index: RelationIndex) -> list[tuple[int, int]]:
     # Sorting phase — duplicate-free lists from the shared PLI build.
     with _trace.span("spider.sort", columns=n):
         sorted_values = [
-            sorted(
-                {
-                    canonical_value(v)
-                    for v in index.distinct_values(column)
-                    if v is not None
-                }
-            )
-            for column in range(n)
+            _sorted_distinct(index.distinct_values(column)) for column in range(n)
         ]
     # Stage 1: sampled value probes against the full referenced sets clear
     # candidate pairs with an exact witness before the merge sweep starts.
@@ -164,7 +163,8 @@ def spider_across(
     UCCs and FDs are single-relation concepts (§2.1), but SPIDER itself
     merges any set of sorted value lists.  Returns pairs of
     ``(relation_index, column_index)`` locators, dependent first; INDs
-    between columns of the *same* relation are included.
+    between columns of the *same* relation are included.  Each column's
+    value list comes from its dictionary, as in :func:`spider`.
 
     The seeded value-probe prefilter runs over the *union* of all
     relations' columns.  The probe is pure set membership, so prefiltering
@@ -184,13 +184,7 @@ def spider_across(
             for column in range(relation.n_columns):
                 locators.append((relation_index, column))
                 sorted_values.append(
-                    sorted(
-                        {
-                            canonical_value(v)
-                            for v in relation.column(column)
-                            if v is not None
-                        }
-                    )
+                    _sorted_distinct(relation.encoding(column).dictionary)
                 )
         sort_span.set(columns=len(locators))
     ckpt = _ckpt.ACTIVE if checkpoint_stage is not None else None

@@ -504,7 +504,13 @@ def _apply_appends(
     Checkpoint sessions are keyed per batch by ``(parent fingerprint,
     "incremental", config + batch fingerprint)`` — a maintenance run
     killed mid-re-validation resumes exactly.
+
+    Unless ``--keep-duplicates`` is given, a batch row equal to a row
+    already in the relation or earlier in the batches is dropped, as the
+    base's duplicates were: the grown relation is the deduplicated
+    concatenation, fingerprint included.
     """
+    seen = None if args.keep_duplicates else set(relation.iter_rows())
     try:
         with guarded(budget):
             for batch_path in args.append:
@@ -519,6 +525,10 @@ def _apply_appends(
                         f"{batch.column_names} do not match the base schema "
                         f"{relation.column_names}"
                     )
+                rows = list(batch.iter_rows())
+                if seen is not None:
+                    rows = [row for row in dict.fromkeys(rows) if row not in seen]
+                    seen.update(rows)
                 parent = relation.fingerprint()
                 session = None
                 if checkpoint_dir:
@@ -535,9 +545,7 @@ def _apply_appends(
                         )
                 started = time.perf_counter()
                 with active_session(session):
-                    result = profiler.maintain(
-                        relation, list(batch.iter_rows()), result
-                    )
+                    result = profiler.maintain(relation, rows, result)
                 seconds = time.perf_counter() - started
                 if session is not None:
                     session.complete()
@@ -565,7 +573,7 @@ def _apply_appends(
                             file=sys.stderr,
                         )
                 print(
-                    f"appended {batch_path} ({batch.n_rows} rows): fingerprint "
+                    f"appended {batch_path} ({len(rows)} rows): fingerprint "
                     f"{parent[:12]}... -> {grown[:12]}...",
                     file=sys.stderr,
                 )

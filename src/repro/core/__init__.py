@@ -1,6 +1,5 @@
 """Holistic profiling algorithms: MUDS, Holistic FUN, sequential baseline."""
 
-from .adaptive import AdaptiveProfiler, prefer_muds
 from .baseline import BaselineProfiler
 from .check_cache import CheckCache
 from .fds_first import FdsFirstProfiler, candidate_keys_from_fds, closure_of
@@ -15,7 +14,6 @@ from .sublattice import SublatticeStats, discover_r_minus_z
 
 __all__ = [
     "ALGORITHMS",
-    "AdaptiveProfiler",
     "BaselineProfiler",
     "ColumnStatistics",
     "CheckCache",
@@ -34,7 +32,6 @@ __all__ = [
     "generate_shadowed_tasks",
     "minimize_fds_from_uccs",
     "minimize_shadowed_tasks",
-    "prefer_muds",
     "profile",
     "profile_statistics",
     "remove_uccs",

@@ -79,9 +79,6 @@ class Muds:
         tables); ``False`` reproduces the paper's configuration exactly.
     use_ucc_pruning:
         Inter-task pruning switch for the R∖Z walks (ablation hook).
-    shadowed_passes:
-        How many times Algorithm 2 is re-applied; the paper describes a
-        single pass (the default).
     store:
         Shared PLI store the profiler obtains its relation index from; a
         private store is created when omitted.
@@ -92,15 +89,11 @@ class Muds:
         seed: int = 0,
         verify_completeness: bool = True,
         use_ucc_pruning: bool = True,
-        shadowed_passes: int = 1,
         store: PliStore | None = None,
     ):
-        if shadowed_passes < 0:
-            raise ValueError("shadowed_passes must be non-negative")
         self.seed = seed
         self.verify_completeness = verify_completeness
         self.use_ucc_pruning = use_ucc_pruning
-        self.shadowed_passes = shadowed_passes
         self.store = store if store is not None else PliStore()
 
     # -- public API -----------------------------------------------------------
@@ -180,14 +173,10 @@ class Muds:
         # base-so-far + replayed work — identical to an undisturbed run.
         ckpt = _ckpt.ACTIVE
         done = 0
-        shadow_done = 0
-        tasks_total = 0
 
         def progress() -> dict:
             return {
                 "done": done,
-                "shadow_done": shadow_done,
-                "tasks_total": tasks_total,
                 "inds": [list(pair) for pair in report.inds],
                 "uccs": list(report.minimal_uccs),
                 "counters": dict(report.counters),
@@ -204,8 +193,6 @@ class Muds:
         saved = ckpt.resume("muds") if ckpt is not None else None
         if saved is not None:
             done = saved["done"]
-            shadow_done = saved["shadow_done"]
-            tasks_total = saved["tasks_total"]
             report.inds = [tuple(pair) for pair in saved["inds"]]
             report.minimal_uccs = list(saved["uccs"])
             report.counters = dict(saved["counters"])
@@ -283,17 +270,11 @@ class Muds:
 
                 # Phase 3c: shadowed FDs (Algorithms 2–4).
                 if done < 5:
-                    for _ in range(shadow_done, self.shadowed_passes):
-                        with timer("generate_shadowed_tasks"):
-                            tasks = generate_shadowed_tasks(cache, ucc_tree, fds)
-                        tasks_total += len(tasks)
-                        with timer("minimize_shadowed_tasks"):
-                            minimize_shadowed_tasks(cache, tasks, fds)
-                        shadow_done += 1
-                        phase_edge()
-                        if not tasks:
-                            break
-                    report.counters["shadowed_tasks"] = tasks_total
+                    with timer("generate_shadowed_tasks"):
+                        tasks = generate_shadowed_tasks(cache, ucc_tree, fds)
+                    with timer("minimize_shadowed_tasks"):
+                        minimize_shadowed_tasks(cache, tasks, fds)
+                    report.counters["shadowed_tasks"] = len(tasks)
                     done = 5
                     phase_edge()
 

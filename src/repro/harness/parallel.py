@@ -103,8 +103,8 @@ class WorkloadSpec:
     ``builder`` must be a module-level callable (pickled by reference);
     the relation it returns is built *inside* the worker, so sweeps never
     ship row data across the process boundary.  The point label is passed
-    as the first positional argument, or as the keyword named by
-    ``label_kwarg``; ``kwargs`` supplies the fixed parameters.
+    as the first positional argument; ``kwargs`` supplies the fixed
+    parameters.
 
     A spec is itself callable with a label, so it can serve directly as
     the ``workload`` argument of a serial sweep — one object describes the
@@ -113,12 +113,9 @@ class WorkloadSpec:
 
     builder: Callable[..., Relation]
     kwargs: Mapping[str, Any] = field(default_factory=dict)
-    label_kwarg: str | None = None
 
     def build(self, label: object) -> Relation:
         """Construct the relation for one sweep point."""
-        if self.label_kwarg is not None:
-            return self.builder(**{self.label_kwarg: label}, **dict(self.kwargs))
         return self.builder(label, **dict(self.kwargs))
 
     __call__ = build

@@ -42,7 +42,6 @@ from .framework import (
     verify_agreement,
 )
 from .reporting import ascii_table
-from .signals import graceful_shutdown
 
 if TYPE_CHECKING:  # imported lazily at runtime (parallel imports runner)
     from .checkpoint import CheckpointStore
@@ -252,7 +251,6 @@ class ExperimentRunner:
         cache_config: str | None = None,
         checkpoints: "CheckpointStore | None" = None,
         watchdog_grace: float | None = None,
-        handle_signals: bool = False,
     ) -> list[SweepPoint]:
         """Execute all algorithms at every sweep point, crash-safely.
 
@@ -302,34 +300,17 @@ class ExperimentRunner:
         existing suspect-isolation retry; a point that hangs its worker
         again is recorded as a point-level error.
 
-        ``handle_signals`` wraps the sweep in
-        :func:`~repro.harness.signals.graceful_shutdown`: SIGTERM/SIGINT
-        raises :class:`~repro.harness.signals.Interrupted` at a safe
-        boundary — the journal keeps every finished point, the active
-        execution's checkpoint survives, and the interrupted point is
-        *not* journaled (it re-runs, resuming from its checkpoint).
+        Run inside :func:`~repro.harness.signals.graceful_shutdown` (as
+        the CLI does), SIGTERM/SIGINT raises
+        :class:`~repro.harness.signals.Interrupted` at a safe boundary —
+        the journal keeps every finished point, the active execution's
+        checkpoint survives, and the interrupted point is *not* journaled
+        (it re-runs, resuming from its checkpoint).
         """
         if watchdog_grace is None:
             env_grace = os.environ.get("REPRO_WATCHDOG_GRACE")
             if env_grace:
                 watchdog_grace = float(env_grace)
-        if handle_signals:
-            with graceful_shutdown():
-                return self.sweep(
-                    points,
-                    workload,
-                    check_agreement=check_agreement,
-                    budget=budget,
-                    journal=journal,
-                    resume=resume,
-                    jobs=jobs,
-                    framework_spec=framework_spec,
-                    result_cache=result_cache,
-                    cache_config=cache_config,
-                    checkpoints=checkpoints,
-                    watchdog_grace=watchdog_grace,
-                    handle_signals=False,
-                )
         finished = journal.load() if journal is not None and resume else {}
         restored: dict[str, SweepPoint] = {}
         pending: list[object] = []

@@ -10,7 +10,6 @@ from .cover import (
 )
 from .fd import FD
 from .ind import IND
-from .measures import fd_error, ind_containment, ucc_error
 from .results import ProfilingResult, fd_signature, ucc_signature
 from .serialize import dumps, loads, result_from_dict, result_to_dict
 from .ucc import UCC
@@ -27,12 +26,9 @@ __all__ = [
     "fds_to_pairs",
     "implies",
     "pairs_to_fds",
-    "fd_error",
     "fd_signature",
-    "ind_containment",
     "loads",
     "result_from_dict",
     "result_to_dict",
-    "ucc_error",
     "ucc_signature",
 ]

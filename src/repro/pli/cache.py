@@ -6,12 +6,6 @@ paper shares one PLI store across all tasks ("shared data structures").
 This cache keys PLIs by column bitmask.  Single-column PLIs are pinned —
 they are the generators of everything else — while composite PLIs are
 evicted in least-recently-used order once ``capacity`` is exceeded.
-
-``capacity=0`` is the documented **pinned-only** mode: single-column PLIs
-are kept as always, composite ``put``\\ s are ignored outright (they are
-neither inserted, counted, nor evicted), so memory stays bounded by the
-column count.  Use it when composite reuse is known to be nil (e.g. one
-level-wise sweep that never revisits a node).
 """
 
 from __future__ import annotations
@@ -24,7 +18,10 @@ from ..faults import CACHE_PUT, FAULTS
 from ..relation.columnset import size
 from .pli import PLI
 
-__all__ = ["PliCache", "estimated_pli_bytes"]
+__all__ = ["CAPACITY", "PliCache", "estimated_pli_bytes"]
+
+#: Composite PLIs every relation index keeps resident.
+CAPACITY = 4096
 
 
 def estimated_pli_bytes(pli: PLI) -> int:
@@ -34,8 +31,7 @@ def estimated_pli_bytes(pli: PLI) -> int:
     (the dense int64 the kernels materialize) plus per-cluster and
     per-entry overhead.  Deliberately storage-mode independent — the
     clustered rows of a composite PLI are the same whichever storage mode
-    produced them, so byte-budget eviction decisions (and the resulting
-    counters) are identical across modes.
+    produced them, so the resident estimate is identical across modes.
     """
     return 64 + 8 * pli.n_clustered_rows + 16 * len(pli.clusters)
 
@@ -44,26 +40,15 @@ class PliCache:
     """LRU cache of ``mask -> PLI`` with pinned single-column entries.
 
     ``insertions`` counts entries actually stored (pinned or composite);
-    ``evictions`` counts LRU removals.  A composite ``put`` on a
-    capacity-0 cache is a no-op and moves neither counter.
-
-    With ``byte_budget`` set, composite retention is accounted in
-    estimated encoded bytes (:func:`estimated_pli_bytes`) instead of
-    entry count: inserting a PLI evicts least-recently-used composites
-    until the resident estimate fits the budget again, so one huge
-    composite displaces many small ones rather than counting as "one
-    entry".  The most recent insertion is never evicted by its own
-    arrival (a budget smaller than a single PLI degrades to caching just
-    that PLI, not to thrashing on every put).
+    ``evictions`` counts LRU removals.  ``composite_bytes`` is the
+    estimated encoded size (:func:`estimated_pli_bytes`) of the resident
+    composites.
     """
 
-    def __init__(self, capacity: int = 4096, byte_budget: int | None = None):
+    def __init__(self, capacity: int = CAPACITY):
         if capacity < 0:
             raise ValueError("capacity must be non-negative")
-        if byte_budget is not None and byte_budget < 0:
-            raise ValueError("byte_budget must be non-negative")
         self.capacity = capacity
-        self.byte_budget = byte_budget
         self._pinned: dict[int, PLI] = {}
         self._entries: OrderedDict[int, PLI] = OrderedDict()
         #: Size estimate of each resident composite, memoized at insert
@@ -108,19 +93,12 @@ class PliCache:
         return self._pinned.get(mask) or self._entries.get(mask)
 
     def put(self, mask: int, pli: PLI) -> None:
-        """Insert a PLI; single-column masks are pinned permanently.
-
-        In pinned-only mode (``capacity == 0``) composite PLIs are
-        discarded without being inserted — callers still get memoization
-        for the pinned single-column generators, nothing else.
-        """
+        """Insert a PLI; single-column masks are pinned permanently."""
         if FAULTS.armed:
             FAULTS.trip(CACHE_PUT)
         if size(mask) <= 1:
             self._pinned[mask] = pli
             self.insertions += 1
-            return
-        if self.capacity == 0:
             return
         if mask in self._entries:
             self.composite_bytes -= self._sizes[mask]
@@ -130,19 +108,6 @@ class PliCache:
         self._entries.move_to_end(mask)
         self._sizes[mask] = estimated_pli_bytes(pli)
         self.composite_bytes += self._sizes[mask]
-        if self.byte_budget is not None:
-            # Byte-budget mode: entry count is irrelevant; evict LRU
-            # composites until the resident estimate fits, always keeping
-            # the entry just inserted.
-            while (
-                len(self._entries) > 1
-                and self.composite_bytes > self.byte_budget
-            ):
-                evicted_mask, _ = self._entries.popitem(last=False)
-                self.composite_bytes -= self._sizes.pop(evicted_mask)
-                self.evictions += 1
-                _trace.count("pli.cache_evictions")
-            return
         while len(self._entries) > self.capacity:
             evicted_mask, _ = self._entries.popitem(last=False)
             self.composite_bytes -= self._sizes.pop(evicted_mask)
@@ -175,12 +140,8 @@ class PliCache:
         Unlike :meth:`put` this neither counts an insertion, moves the
         entry in LRU order, nor trips the fault point — a delta merge is
         maintenance of a resident entry, not new traffic.  The byte
-        accounting *is* updated to the post-merge size (eviction decisions
-        must see what is resident now, not what was inserted back then),
-        and the byte-budget eviction loop runs so in-place growth past the
-        budget evicts least-recently-used composites exactly like an
-        insertion would.  Replacing a mask that is no longer resident
-        degrades to :meth:`put`.
+        estimate *is* updated to the post-merge size.  Replacing a mask
+        that is no longer resident degrades to :meth:`put`.
         """
         if size(mask) <= 1:
             self._pinned[mask] = pli
@@ -192,15 +153,6 @@ class PliCache:
         self._entries[mask] = pli  # position in the order is preserved
         self._sizes[mask] = estimated_pli_bytes(pli)
         self.composite_bytes += self._sizes[mask]
-        if self.byte_budget is not None:
-            while (
-                len(self._entries) > 1
-                and self.composite_bytes > self.byte_budget
-            ):
-                evicted_mask, _ = self._entries.popitem(last=False)
-                self.composite_bytes -= self._sizes.pop(evicted_mask)
-                self.evictions += 1
-                _trace.count("pli.cache_evictions")
 
     # -- checkpoint round-trip ---------------------------------------------
 

@@ -43,19 +43,17 @@ class RelationIndex:
     ----------
     relation:
         The (ideally duplicate-free, see §3) input relation.
-    cache_capacity:
-        Bound on memoized composite PLIs; single columns are always kept.
 
     The check methods consult the index's
     :class:`~repro.sampling.ValidationPlanner` (its row sample) before
     paying for PLI intersections — refutation only, so results are exact.
     """
 
-    def __init__(self, relation: Relation, cache_capacity: int = 4096):
+    def __init__(self, relation: Relation):
         self.relation = relation
         self.n_rows = relation.n_rows
         self.n_columns = relation.n_columns
-        self.cache = PliCache(cache_capacity)
+        self.cache = PliCache()
         # Dense vectors in the active kernel backend's native encoding
         # (flat lists for python, int64 arrays for numpy) so refinement
         # probes never pay a per-call representation conversion.

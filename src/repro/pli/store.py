@@ -33,17 +33,9 @@ __all__ = ["PliStore"]
 
 class PliStore:
     """Registry of shared :class:`RelationIndex` instances, keyed by
-    relation content fingerprint.
+    relation content fingerprint."""
 
-    Parameters
-    ----------
-    cache_capacity:
-        Forwarded to every :class:`RelationIndex` this store builds
-        (bound on memoized composite PLIs; single columns always kept).
-    """
-
-    def __init__(self, cache_capacity: int = 4096):
-        self.cache_capacity = cache_capacity
+    def __init__(self):
         self._indexes: dict[str, tuple[Relation, RelationIndex]] = {}
         #: Index builds performed (one per distinct relation seen).
         self.builds = 0
@@ -80,7 +72,7 @@ class PliStore:
             rows=relation.n_rows,
             backend=_backend.ACTIVE.name,
         ):
-            index = RelationIndex(relation, cache_capacity=self.cache_capacity)
+            index = RelationIndex(relation)
         self._indexes[fingerprint] = (relation, index)
         self.builds += 1
         tracer = _trace.ACTIVE

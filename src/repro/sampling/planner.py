@@ -4,8 +4,9 @@ A :class:`ValidationPlanner` sits next to the shared
 :class:`~repro.pli.index.RelationIndex` (every index owns one) and
 answers one question: *can this candidate be refuted without exact PLI
 work?*  Stage 1 lazily
-harvests the relation's violation sample on the first query; stage 2 —
-the exact path — is whatever the caller does when the answer is "no".
+harvests the relation's violation sample on the first FD or UCC query
+(SPIDER's value probes read value lists, not rows); stage 2 — the exact
+path — is whatever the caller does when the answer is "no".
 
 Cooperation with the execution guards: harvesting is skipped when the
 active :class:`~repro.guard.Budget` has less deadline left than
@@ -167,19 +168,8 @@ class ValidationPlanner:
         if self._attempted:
             return None
         self._attempted = True
-        budget = _guard.ACTIVE
-        if budget is not None:
-            remaining = budget.remaining_seconds
-            if remaining is not None and remaining < MIN_HARVEST_SECONDS:
-                self.bypassed = True
-                tracer = _trace.ACTIVE
-                if tracer is not None:
-                    tracer.event(
-                        "sampling.bypass",
-                        reason="deadline",
-                        remaining_seconds=remaining,
-                    )
-                return None
+        if self._deadline_bypass():
+            return None
         index = self.index
         started = time.perf_counter()
         with _trace.span(
@@ -200,6 +190,26 @@ class ValidationPlanner:
             tracer.count("sampling.harvest_rows", len(rows))
         self._refutation = refutation
         return refutation
+
+    def _deadline_bypass(self) -> bool:
+        """The deadline rule: True when this planner is bypassed, deciding
+        (and emitting the ``sampling.bypass`` event) the first time the
+        active budget has less than :data:`MIN_HARVEST_SECONDS` left."""
+        if self.bypassed:
+            return True
+        budget = _guard.ACTIVE
+        if budget is None:
+            return False
+        remaining = budget.remaining_seconds
+        if remaining is None or remaining >= MIN_HARVEST_SECONDS:
+            return False
+        self.bypassed = True
+        tracer = _trace.ACTIVE
+        if tracer is not None:
+            tracer.event(
+                "sampling.bypass", reason="deadline", remaining_seconds=remaining
+            )
+        return True
 
     def reset_evidence(self) -> None:
         """Drop the harvested sample (the relation's rows changed).
@@ -277,9 +287,10 @@ class ValidationPlanner:
         missing value is an exact witness against the IND, and the
         returned per-attribute reference masks start the merge phase with
         those pairs already cleared.  Returns ``None`` when the engine is
-        bypassed.
+        bypassed.  The probes read value lists, never the row sample, so
+        this does not harvest.
         """
-        if self.refutation() is None:
+        if self._deadline_bypass():
             return None
         refs, queries, refuted = probe_ind_refs(
             value_lists, IND_PROBE_VALUES, SEED

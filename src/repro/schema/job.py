@@ -35,6 +35,7 @@ read with their column codes in memory (the ``encoded`` storage mode).
 from __future__ import annotations
 
 import hashlib
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path, PurePosixPath
 from typing import TYPE_CHECKING, Any, Mapping
@@ -136,18 +137,24 @@ def schema_framework(seed: int = 0, algorithm: str = "auto") -> Framework:
 
 def _column_facts(relation: Relation) -> dict[str, ColumnFacts]:
     """Distinct/non-NULL counts per column (canonicalized like SPIDER),
-    harvested once in the parent for FK scoring."""
+    read from the column encodings in the parent for FK scoring."""
     facts: dict[str, ColumnFacts] = {}
     for index, name in enumerate(relation.column_names):
+        encoding = relation.encoding(index)
+        dictionary = encoding.dictionary
         values = {
-            canonical_value(value)
-            for value in relation.column(index)
-            if value is not None
+            canonical_value(value) for value in dictionary if value is not None
         }
-        non_null = sum(
-            1 for value in relation.column(index) if value is not None
+        # Count the one NULL code directly: ``encoding.count`` would build
+        # and keep a value -> code map of the whole dictionary.
+        nulls = (
+            operator.countOf(encoding.codes, dictionary.index(None))
+            if None in dictionary
+            else 0
         )
-        facts[name] = ColumnFacts(distinct=len(values), non_null=non_null)
+        facts[name] = ColumnFacts(
+            distinct=len(values), non_null=relation.n_rows - nulls
+        )
     return facts
 
 

@@ -86,19 +86,6 @@ class TestFaithfulMode:
 
 
 class TestConfiguration:
-    def test_invalid_shadowed_passes(self):
-        try:
-            Muds(shadowed_passes=-1)
-        except ValueError:
-            pass
-        else:
-            raise AssertionError("expected ValueError")
-
-    @given(relations(max_columns=4, max_rows=10))
-    def test_extra_shadowed_passes_stay_sound(self, rel):
-        result = Muds(verify_completeness=False, shadowed_passes=3).profile(rel)
-        assert set(fds_as_pairs(result, rel)) <= set(naive_fds(rel))
-
     @given(relations(max_columns=4, max_rows=10), st.integers(0, 20))
     def test_ucc_pruning_ablation_is_equivalent(self, rel, seed):
         on = Muds(seed=seed, use_ucc_pruning=True).profile(rel)

@@ -233,6 +233,7 @@ SWEEP_INTERRUPT_SCRIPT = """
         Interrupted,
         SweepJournal,
         default_framework,
+        graceful_shutdown,
     )
     from repro.relation.relation import Relation
 
@@ -252,7 +253,8 @@ SWEEP_INTERRUPT_SCRIPT = """
     runner = ExperimentRunner(default_framework(), algorithms=("hfun",))
     journal = SweepJournal(flag_dir / "sweep.jsonl")
     try:
-        runner.sweep([4, 6], workload, journal=journal, handle_signals=True)
+        with graceful_shutdown():
+            runner.sweep([4, 6], workload, journal=journal)
     except Interrupted:
         raise SystemExit(EXIT_INTERRUPTED)
     raise SystemExit(0)

@@ -3,9 +3,8 @@
 ``replace`` swaps a resident composite for its delta-merged successor:
 it must re-account ``composite_bytes`` to the post-merge size (an
 in-place merge grows the PLI without any ``put`` traffic), preserve the
-entry's LRU position, move no insertion/eviction counters of its own —
-and still run the byte-budget eviction loop, so growth past the budget
-evicts exactly like an insertion would.
+entry's LRU position, and move no insertion/eviction counters of its
+own.
 """
 
 from __future__ import annotations
@@ -75,23 +74,6 @@ class TestReplaceAccounting:
 
 
 class TestBudgetedGrowth:
-    def test_in_place_growth_past_budget_evicts(self):
-        # Regression: before delta maintenance re-accounted replace(),
-        # in-place growth was invisible to the budget and the cache
-        # overshot it unboundedly.
-        budget = 3 * estimated_pli_bytes(_pli(4))
-        cache = PliCache(byte_budget=budget)
-        for mask in (0b0011, 0b0101, 0b1001):
-            cache.put(mask, _pli(4))
-        assert cache.evictions == 0
-        cache.replace(0b1001, _pli(40))
-        assert cache.composite_bytes <= budget or len(cache.composite_masks()) == 1
-        assert cache.evictions > 0
-        # LRU victims go first: the oldest entry is gone, the grown one stays.
-        assert 0b0011 not in cache
-        assert 0b1001 in cache
-        assert cache.composite_bytes == _resident_estimate(cache)
-
     def test_discard_returns_bytes(self):
         cache = PliCache()
         cache.put(0b011, _pli(4))

@@ -91,6 +91,37 @@ class TestAppendFlag:
         err = capsys.readouterr().err
         assert err.index("b1.csv") < err.index("b2.csv")
 
+    @pytest.mark.parametrize("keep", [[], ["--keep-duplicates"]])
+    def test_batch_duplicates_follow_the_base_rule(self, tmp_path, keep, capsys):
+        names = ["a", "b", "c"]
+        base = [("1", "x", "p"), ("2", "y", "q"), ("3", "z", "p")]
+        # Repeats a base row and one of its own rows.
+        batch = [("1", "x", "p"), ("4", "w", "q"), ("4", "w", "q")]
+        paths = {}
+        for name, rows in (("base", base), ("batch", batch), ("combined", base + batch)):
+            paths[name] = tmp_path / f"{name}.csv"
+            write_csv(Relation.from_rows(names, rows), paths[name])
+        cache = ["--result-cache", str(tmp_path / "cache"), *keep]
+        maintained, fresh = tmp_path / "maintained.json", tmp_path / "fresh.json"
+        assert main(
+            [str(paths["base"]), "--append", str(paths["batch"]),
+             "--json", str(maintained), *cache]
+        ) == 0
+        kept = 3 if keep else 1
+        assert f"({kept} rows)" in capsys.readouterr().err
+        assert main(
+            [str(paths["combined"]), "--no-result-cache", "--json", str(fresh), *keep]
+        ) == 0
+        left = json.loads(maintained.read_text())
+        right = json.loads(fresh.read_text())
+        for document in (left, right):
+            for key in ("phase_seconds", "counters", "relation"):
+                document.pop(key, None)
+        assert left == right
+        capsys.readouterr()
+        assert main([str(paths["combined"]), *cache]) == 0
+        assert "result cache hit" in capsys.readouterr().err
+
     def test_schema_mismatch_is_an_error(self, base_csv, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("x,y\n1,2\n")

@@ -84,76 +84,21 @@ class TestPliCache:
         with pytest.raises(ValueError):
             PliCache(capacity=-1)
 
-
-class TestPinnedOnlyMode:
-    """capacity=0 is the documented pinned-only mode: composite puts are
-    ignored outright instead of being inserted and instantly evicted."""
-
-    def test_composite_put_is_a_noop(self):
+    def test_zero_capacity_evicts_composites_at_once(self):
         cache = PliCache(capacity=0)
+        cache.put(0b1, make_pli())
         cache.put(0b11, make_pli())
-        assert 0b11 not in cache
-        assert len(cache) == 0
-        assert cache.insertions == 0
-        assert cache.evictions == 0
-
-    def test_single_columns_still_pinned(self):
-        cache = PliCache(capacity=0)
-        cache.put(0b1, make_pli())
-        cache.put(0b100, make_pli())
-        assert len(cache) == 2
-        assert cache.insertions == 2
-        assert cache.get(0b1) is not None
-
-    def test_hit_rate_accounting_in_pinned_only_mode(self):
-        cache = PliCache(capacity=0)
-        cache.put(0b1, make_pli())
-        cache.put(0b11, make_pli())  # dropped
-        assert cache.get(0b1) is not None   # hit
-        assert cache.get(0b11) is None      # miss (never stored)
-        assert cache.hits == 1
-        assert cache.misses == 1
-        assert cache.hit_rate == pytest.approx(0.5)
+        assert 0b1 in cache and 0b11 not in cache
+        assert (cache.insertions, cache.evictions) == (2, 1)
+        assert cache.composite_bytes == 0
 
 
-class TestByteBudget:
-    """Byte-budget mode: composite retention accounted in estimated
-    encoded bytes instead of entry count."""
-
-    def test_one_large_composite_evicted_before_two_small_ones(self):
-        small_a, small_b = sized_pli(2), sized_pli(2)
-        large = sized_pli(200)
-        budget = 2 * estimated_pli_bytes(small_a) + estimated_pli_bytes(large)
-        cache = PliCache(byte_budget=budget)
-        cache.put(0b0011, large)
-        cache.put(0b0101, small_a)
-        # Fits so far; the next small composite pushes the estimate over
-        # the budget, and evicting the (LRU) large entry alone re-fits —
-        # the two small ones survive a single eviction.
-        cache.put(0b1001, sized_pli(2))
-        assert cache.composite_bytes > budget - estimated_pli_bytes(large)
-        cache.put(0b0110, small_b)
-        assert 0b0011 not in cache
-        assert 0b0101 in cache and 0b1001 in cache and 0b0110 in cache
-        assert cache.evictions == 1
-        assert cache.composite_bytes <= budget
-
-    def test_entry_count_is_irrelevant_under_a_byte_budget(self):
-        cache = PliCache(capacity=2, byte_budget=10**6)
-        for index in range(8):
-            cache.put(0b11 << index, sized_pli(2))
-        assert len(cache._entries) == 8  # capacity=2 not enforced
-        assert cache.evictions == 0
-
-    def test_oversized_insertion_keeps_itself_only(self):
-        cache = PliCache(byte_budget=estimated_pli_bytes(sized_pli(2)))
-        cache.put(0b011, sized_pli(2))
-        cache.put(0b101, sized_pli(500))  # alone it exceeds the budget
-        assert 0b011 not in cache
-        assert 0b101 in cache  # never evicted by its own arrival
+class TestByteEstimate:
+    """``composite_bytes`` tracks the estimated encoded size of the
+    resident composites."""
 
     def test_replacement_rebalances_the_byte_estimate(self):
-        cache = PliCache(byte_budget=10**6)
+        cache = PliCache()
         cache.put(0b11, sized_pli(100))
         heavy = cache.composite_bytes
         cache.put(0b11, sized_pli(2))  # same mask, smaller PLI
@@ -162,17 +107,13 @@ class TestByteBudget:
         assert cache.insertions == 1  # replacement, not a new entry
 
     def test_bytes_tracked_through_clear_and_stats(self):
-        cache = PliCache(byte_budget=10**6)
+        cache = PliCache()
         cache.put(0b1, make_pli())  # pinned: never byte-accounted
         cache.put(0b11, sized_pli(3))
         assert cache.stats()["cache_bytes"] == estimated_pli_bytes(sized_pli(3))
         cache.clear_composites()
         assert cache.composite_bytes == 0
         assert cache.stats()["cache_bytes"] == 0
-
-    def test_negative_budget_rejected(self):
-        with pytest.raises(ValueError):
-            PliCache(byte_budget=-1)
 
 
 class TestCounters:

@@ -8,7 +8,6 @@ from repro.algorithms.ducc import ducc_on_relation
 from repro.algorithms.fun import fun_on_relation
 from repro.algorithms.spider import spider_on_relation
 from repro.algorithms.tane import tane_on_relation
-from repro.core.adaptive import AdaptiveProfiler
 from repro.core.baseline import BaselineProfiler
 from repro.core.fds_first import FdsFirstProfiler
 from repro.core.holistic_fun import HolisticFun
@@ -60,11 +59,6 @@ class TestPliStore:
         assert len(store) == 0
         assert store.builds == 2  # rebuilt after discard
 
-    def test_cache_capacity_forwarded(self, relation):
-        store = PliStore(cache_capacity=0)
-        index = store.index_for(relation)
-        assert index.cache.capacity == 0
-
 
 class TestCrossAlgorithmSharing:
     """Acceptance: every algorithm and profiler obtains single-column PLIs
@@ -83,7 +77,6 @@ class TestCrossAlgorithmSharing:
             "hfun": lambda: HolisticFun(store=store).profile(relation),
             "baseline": lambda: BaselineProfiler(store=store).profile(relation),
             "fds_first": lambda: FdsFirstProfiler(store=store).profile(relation),
-            "adaptive": lambda: AdaptiveProfiler(store=store).profile(relation),
             "statistics": lambda: profile_statistics(relation, store=store),
         }
         cache = store.index_for(relation).cache

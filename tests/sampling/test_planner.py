@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro import trace
 from repro.algorithms.naive import naive_fds, naive_inds, naive_uccs
+from repro.core.holistic_fun import HolisticFun
 from repro.core.muds import Muds
 from repro.datasets.generators import uniprot_like
 from repro.guard import Budget, guarded
@@ -144,6 +146,33 @@ def test_prefilter_clears_refuted_pairs_only():
     assert not refs[1] >> 0 & 1  # "c" missing from column 0
     assert not refs[2] >> 0 & 1 and not refs[2] >> 1 & 1
     assert planner.ind_refuted > 0
+
+
+def test_ind_prefilter_alone_harvests_nothing():
+    """SPIDER's value probes read value lists, not rows: a profile whose
+    FD and UCC phases never consult the sample harvests none."""
+    counters = HolisticFun().profile(uniprot_like(400, seed=0)).counters
+    assert counters["sampling_rows"] == 0
+    assert counters["sampling_fd_queries"] == 0
+    assert counters["sampling_ucc_queries"] == 0
+    assert counters["sampling_ind_queries"] == 90
+    assert counters["sampling_ind_refuted"] == 90
+
+
+def test_sample_harvested_once_on_first_fd_query():
+    tracer = trace.enable()
+    try:
+        counters = HolisticFun().profile(uniprot_like(600, n_columns=6)).counters
+    finally:
+        trace.disable()
+    harvests = [
+        record
+        for record in tracer.events
+        if record["name"] == "sampling.harvest" and record["type"] == "end"
+    ]
+    assert len(harvests) == 1
+    assert counters["sampling_rows"] > 0
+    assert counters["sampling_fd_queries"] > 0
 
 
 def test_batched_refuted_rhs_counts_per_candidate():

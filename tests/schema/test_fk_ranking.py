@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.algorithms.values import canonical_value
+from repro.relation.csv_io import read_csv
 from repro.schema import profile_schema
 from repro.schema.catalog import CrossTableInd
 from repro.schema.fk import (
@@ -18,8 +20,9 @@ from repro.schema.fk import (
     name_similarity,
     rank_fk_candidates,
 )
+from repro.schema.job import _column_facts
 
-from .conftest import write_schema
+from .conftest import seeded_schema, write_schema
 
 unit = st.floats(0.0, 1.0, allow_nan=False)
 
@@ -165,3 +168,22 @@ def test_name_similarity_prefers_compound_match():
     compound = name_similarity("customer_id", "customers", "id")
     unrelated = name_similarity("qty", "customers", "id")
     assert compound > 0.8 > unrelated
+
+
+@pytest.mark.parametrize("storage", ["encoded", "mmap"])
+def test_column_facts_match_a_row_scan(tmp_path, storage):
+    nulls = 0
+    for seed in range(8):
+        root = write_schema(tmp_path / f"s{seed}", seeded_schema(seed))
+        for path in sorted(root.glob("*.csv")):
+            relation = read_csv(path, storage=storage)
+            expected = {}
+            for index, name in enumerate(relation.column_names):
+                values = [v for v in relation.column(index) if v is not None]
+                nulls += relation.n_rows - len(values)
+                expected[name] = ColumnFacts(
+                    distinct=len({canonical_value(v) for v in values}),
+                    non_null=len(values),
+                )
+            assert _column_facts(relation) == expected, path.name
+    assert nulls > 0

@@ -22,7 +22,8 @@ files (ids prefixed ``mmap-``) before the algorithms see it.
 
 Each algorithm is compared on the metadata it actually discovers:
 MUDS and Holistic FUN on all three kinds, TANE on FDs, FUN on FDs and
-UCCs, DUCC on UCCs, SPIDER on unary INDs.
+UCCs, DUCC on UCCs, SPIDER on unary INDs, both through the shared index
+and across relations (``spider_across`` over the one relation).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import pytest
 from repro.algorithms.ducc import ducc_on_relation
 from repro.algorithms.fun import fun_on_relation
 from repro.algorithms.naive import naive_fds, naive_inds, naive_uccs
-from repro.algorithms.spider import spider_on_relation
+from repro.algorithms.spider import spider_across, spider_on_relation
 from repro.algorithms.tane import tane_on_relation
 from repro.core.holistic_fun import HolisticFun
 from repro.core.muds import Muds
@@ -99,6 +100,9 @@ def _signatures(relation: Relation) -> dict[str, frozenset]:
         ducc_on_relation(relation, rng=random.Random(0)).minimal_uccs, names
     )
     sigs["spider.inds"] = _ind_sig(spider_on_relation(relation), names)
+    sigs["spider_across.inds"] = _ind_sig(
+        [(dep[1], ref[1]) for dep, ref in spider_across([relation])], names
+    )
     return sigs
 
 

@@ -53,7 +53,8 @@ class TestConstrainedCache:
             ["A", "B", "C"],
             [(1, 1, 2), (1, 2, 2), (2, 1, 3), (2, 2, 4)],
         )
-        index = RelationIndex(rel, cache_capacity=capacity)
+        index = RelationIndex(rel)
+        index.cache.capacity = capacity
         reference = RelationIndex(rel)
         for mask in range(1, 1 << 3):
             assert index.pli(mask) == reference.pli(mask)
@@ -66,7 +67,8 @@ class TestConstrainedCache:
             ["A", "B", "C", "D"],
             [(1, 1, 2, 0), (1, 2, 2, 1), (2, 1, 3, 0), (2, 2, 4, 1)],
         )
-        index = RelationIndex(rel, cache_capacity=1)
+        index = RelationIndex(rel)
+        index.cache.capacity = 1
         report = Muds().run(index)
         expected = naive_fds(rel)
         got = sorted(
