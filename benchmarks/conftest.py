@@ -33,9 +33,6 @@ PROFILES = {
         # quick profile (sparse dependencies emerge only at scale).
         "table3_row_overrides": {"adult": 4_000, "letter": 2_500},
         "ablation_rows": 1_000,
-        "schema_tables": 10,
-        "schema_rows": 800,
-        "schema_duplicates": 2,
     },
     "paper": {
         "fig6_rows": [50_000, 100_000, 150_000, 200_000, 250_000],
@@ -44,9 +41,6 @@ PROFILES = {
         "table3_max_rows": None,  # published row counts
         "table3_row_overrides": {},
         "ablation_rows": 5_000,
-        "schema_tables": 24,
-        "schema_rows": 5_000,
-        "schema_duplicates": 4,
     },
 }
 

@@ -1,8 +1,7 @@
-"""State-of-the-art single-task discovery algorithms and naive oracles."""
+"""State-of-the-art single-task discovery algorithms."""
 
 from .ducc import DuccResult, ducc, ducc_on_relation
 from .fun import FunResult, fun, fun_on_relation
-from .naive import holds_fd, is_unique, naive_fds, naive_inds, naive_uccs
 from .spider import spider, spider_across, spider_on_relation
 from .tane import TaneResult, tane, tane_on_relation
 from .values import canonical_value
@@ -16,11 +15,6 @@ __all__ = [
     "ducc_on_relation",
     "fun",
     "fun_on_relation",
-    "holds_fd",
-    "is_unique",
-    "naive_fds",
-    "naive_inds",
-    "naive_uccs",
     "spider",
     "spider_across",
     "spider_on_relation",

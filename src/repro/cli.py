@@ -7,7 +7,6 @@ Examples::
     python -m repro --dataset bridges --stats
     python -m repro data.csv --delimiter ';' --no-header --max-rows 5000
     python -m repro data.csv --algorithm baseline
-    python -m repro data.csv --pli-backend numpy
     python -m repro big.csv --storage mmap
     python -m repro data.csv --no-result-cache
     python -m repro --dataset bridges --trace out.jsonl
@@ -59,7 +58,6 @@ from .harness.result_cache import DEFAULT_CACHE_DIR, ResultCache
 from .harness.signals import EXIT_INTERRUPTED, Interrupted, graceful_shutdown
 from .metadata.results import ProfilingResult
 from .metadata.serialize import dumps
-from .pli import backend as _pli_backend
 from .relation.csv_io import read_csv
 from .relation.encoded import STORAGE_MODES, encode_column
 from .relation.relation import Relation
@@ -143,18 +141,8 @@ def _budget_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _substrate_options(parser: argparse.ArgumentParser) -> None:
-    """PLI kernel backend (armed by :func:`_parse`) and column-storage
-    mode (passed to the CSV read)."""
-    parser.add_argument(
-        "--pli-backend",
-        choices=("python", "numpy"),
-        default=None,
-        help="PLI kernel backend: 'python' (zero-dependency, the default) "
-        "or 'numpy' (vectorized; needs numpy installed). Results are "
-        "bit-identical either way. Defaults to $REPRO_PLI_BACKEND, or "
-        "'python' when unset",
-    )
+def _storage_option(parser: argparse.ArgumentParser) -> None:
+    """Column-storage mode (passed to the CSV read)."""
     parser.add_argument(
         "--storage",
         choices=STORAGE_MODES,
@@ -214,24 +202,20 @@ def _parse(
 ) -> argparse.Namespace | None:
     """Parse ``argv`` and settle what must hold before any input is read.
 
-    Rejects a numeric option below its :data:`_MINIMUM` and arms the
-    requested PLI kernel backend process-wide, so an unusable request
-    fails the run up front instead of silently profiling on another
-    kernel.  A failure prints an ``error:`` line and returns ``None``:
-    the caller exits with status 2.
+    Rejects a numeric option below its :data:`_MINIMUM`.  A failure
+    prints an ``error:`` line and returns ``None``: the caller exits
+    with status 2.
     """
     args = parser.parse_args(argv)
-    try:
-        for dest, minimum in _MINIMUM.items():
-            value = getattr(args, dest, None)
-            if value is not None and value < minimum:
-                flag = "--" + dest.replace("_", "-")
-                raise ValueError(f"{flag} must be >= {minimum}, got {value}")
-        if getattr(args, "pli_backend", None) is not None:
-            _pli_backend.set_backend(args.pli_backend)
-    except (ValueError, _pli_backend.BackendUnavailable) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return None
+    for dest, minimum in _MINIMUM.items():
+        value = getattr(args, dest, None)
+        if value is not None and value < minimum:
+            flag = "--" + dest.replace("_", "-")
+            print(
+                f"error: {flag} must be >= {minimum}, got {value}",
+                file=sys.stderr,
+            )
+            return None
     return args
 
 
@@ -371,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="also print per-column statistics",
     )
     _budget_options(parser)
-    _substrate_options(parser)
+    _storage_option(parser)
     _result_cache_options(parser)
     _checkpoint_option(
         parser,
@@ -626,13 +610,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.no_result_cache or budget is not None
         else ResultCache(_cache_root(args))
     )
-    # ``pli_backend`` and ``storage`` are part of the key for counter
-    # transparency only — discovered metadata is exact (thus identical)
-    # in all modes.
+    # ``storage`` is part of the key for counter transparency only —
+    # discovered metadata is exact (thus identical) in both modes.
     cache_config = {
         "seed": args.seed,
         "as_published": args.as_published,
-        "pli_backend": _pli_backend.ACTIVE.name,
         "storage": args.storage or "encoded",
     }
     checkpoint_dir = _checkpoint_dir(args)
@@ -928,7 +910,7 @@ def build_watch_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="stop after N files have been consumed",
     )
-    _substrate_options(parser)
+    _storage_option(parser)
     _output_options(
         parser, "rewrite PATH with the latest result after every update"
     )

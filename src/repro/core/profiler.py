@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from .. import trace as _trace
 from ..metadata.results import ProfilingResult
-from ..pli import backend as _backend
 from ..pli.store import PliStore
 from ..relation.relation import Relation
 from .baseline import BaselineProfiler
@@ -61,8 +60,7 @@ def profile(
 
     The PLIs are built from the columns' codes wherever those live: a
     relation ``read_csv(storage="mmap")`` built keeps them in spill
-    files, any other is encoded in memory.  The kernel backend is the
-    process's armed one (:func:`repro.pli.use_backend`).
+    files, any other is encoded in memory.
 
     Returns
     -------
@@ -79,7 +77,6 @@ def profile(
         dataset=relation.name,
         columns=relation.n_columns,
         rows=relation.n_rows,
-        pli_backend=_backend.ACTIVE.name,
     ):
         return _dispatch(
             relation,

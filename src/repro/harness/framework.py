@@ -38,7 +38,6 @@ from .checkpoint import CheckpointStore
 from .signals import Interrupted
 from ..metadata.results import ProfilingResult, fd_signature, ucc_signature
 from ..metadata.serialize import result_from_dict, result_to_dict
-from ..pli import backend as _backend
 from ..pli.pli import KERNEL_STATS
 from ..relation.relation import Relation
 from .result_cache import ResultCache
@@ -385,7 +384,6 @@ class Framework:
                 dataset=relation.name,
                 columns=relation.n_columns,
                 rows=relation.n_rows,
-                pli_backend=_backend.ACTIVE.name,
             )
             if tracer is not None
             else _trace.NULL_SPAN

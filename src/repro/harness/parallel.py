@@ -49,7 +49,6 @@ from typing import Any, Callable, Iterator, Mapping
 from .. import liveness as _liveness
 from .. import trace as _trace
 from ..guard import Budget
-from ..pli import backend as _backend
 from ..relation.relation import Relation
 from .framework import Framework, default_framework
 from .checkpoint import CheckpointStore
@@ -156,11 +155,6 @@ class PointTask:
     #: Collect this point's structured trace in the worker and ship it
     #: back with the serialized record (set when the parent is tracing).
     trace: bool = False
-    #: Kernel backend to arm in the worker before executing the point
-    #: (``None`` keeps the worker's import-time default).  Backend
-    #: selection is process-global, so the parent's choice must travel
-    #: explicitly — a spawned worker does not inherit it.
-    pli_backend: str | None = None
     #: Directory of per-pid liveness files for the parent's hung-worker
     #: watchdog (``None`` leaves the worker silent); filled in by
     #: :func:`run_sweep_points` when a watchdog grace is armed.
@@ -176,7 +170,7 @@ def execute_point_record(task: PointTask) -> dict[str, Any]:
     """Worker entry point: run one sweep point, return its serialized
     :class:`~repro.harness.runner.SweepPoint` record.
 
-    Arms what the parent armed (kernel backend, tracer, heartbeat),
+    Arms what the parent armed (tracer, heartbeat),
     rebuilds the framework, result cache and checkpoint store from the
     task, and runs the point through
     :func:`~repro.harness.runner.run_point`, the loop a serial sweep
@@ -192,12 +186,6 @@ def execute_point_record(task: PointTask) -> dict[str, Any]:
             label=str(task.label),
         )
     try:
-        if task.pli_backend is not None:
-            # Re-arm the parent's kernel backend in this worker.  Safe
-            # under fork *and* spawn: set_backend is idempotent, and an
-            # unusable explicit choice should fail the point loudly rather
-            # than let workers silently compute on a different kernel.
-            _backend.set_backend(task.pli_backend)
         if task.trace and _trace.ACTIVE is None:
             # The parent was tracing when it built the task; bring this
             # worker's process-local tracer up so the point's events exist

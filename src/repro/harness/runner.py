@@ -32,7 +32,6 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 from .. import trace as _trace
 from ..durable import Journal
 from ..guard import Budget
-from ..pli import backend as _pli_backend
 from ..relation.relation import Relation
 from .framework import (
     Execution,
@@ -396,7 +395,6 @@ class ExperimentRunner:
                 cache_root=str(result_cache.root) if result_cache else None,
                 cache_config=cache_config,
                 trace=_trace.ACTIVE is not None,
-                pli_backend=_pli_backend.ACTIVE.name,
                 checkpoint_root=str(checkpoints.root) if checkpoints else None,
             )
             for label in pending

@@ -26,7 +26,6 @@ __all__ = [
     "dumps",
     "loads",
     "canonical_metadata_dumps",
-    "result_signature",
     "catalog_to_dict",
     "catalog_from_dict",
     "catalog_dumps",
@@ -111,8 +110,7 @@ def canonical_metadata_dumps(result: ProfilingResult) -> str:
     Two results describing the same INDs, UCCs, and FDs over the same
     schema serialize to byte-identical strings regardless of internal
     list ordering, phase timings, or counters — the form the determinism
-    checks (parallel sweep vs. serial sweep) and the result cache's
-    integrity comparison hash.
+    checks (parallel sweep vs. serial sweep) compare.
     """
     document = {
         "columns": list(result.column_names),
@@ -125,14 +123,6 @@ def canonical_metadata_dumps(result: ProfilingResult) -> str:
         ),
     }
     return json.dumps(document, sort_keys=True, separators=(",", ":"))
-
-
-def result_signature(result: ProfilingResult) -> str:
-    """Hex SHA-256 of :func:`canonical_metadata_dumps` — a compact,
-    order-insensitive identity of a result's discovered metadata."""
-    return hashlib.sha256(
-        canonical_metadata_dumps(result).encode("utf-8")
-    ).hexdigest()
 
 
 # -- schema catalogs ----------------------------------------------------------

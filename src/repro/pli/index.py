@@ -26,9 +26,9 @@ from typing import Any
 
 from ..guard import checkpoint
 from ..relation.columnset import bit, iter_bits, lowest_bit
+from ..relation.encoded import EncodedColumn
 from ..relation.relation import Relation
 from ..sampling import ValidationPlanner
-from . import backend as _backend
 from .cache import PliCache
 from .delta import AppendDelta, ColumnDelta, merge_column, merge_composite
 from .pli import PLI
@@ -54,10 +54,8 @@ class RelationIndex:
         self.n_rows = relation.n_rows
         self.n_columns = relation.n_columns
         self.cache = PliCache()
-        # Dense vectors in the active kernel backend's native encoding
-        # (flat lists for python, int64 arrays for numpy) so refinement
-        # probes never pay a per-call representation conversion.
-        kernel_backend = _backend.ACTIVE
+        # Dense vectors as flat lists (memoryviews for mmap columns), so
+        # refinement probes never pay a per-call conversion.
         self._vectors: list[Sequence[int]] = []
         self._distinct_values: list[list[Any]] = []
         # Counters used by the harness for shared-cost accounting.
@@ -84,21 +82,18 @@ class RelationIndex:
         # pass per column, no per-value hashing.
         for column_index in range(self.n_columns):
             encoding = relation.encoding(column_index)
-            clusters, np_state = kernel_backend.column_pli_from_codes(
-                encoding, self.n_rows
+            self.cache.put(
+                bit(column_index),
+                PLI._from_canonical(_column_clusters(encoding), self.n_rows),
             )
-            pli = PLI._from_canonical(clusters, self.n_rows)
-            if np_state is not None:
-                pli._np = np_state
-            self.cache.put(bit(column_index), pli)
-            self._vectors.append(kernel_backend.vector_from_codes(encoding))
+            self._vectors.append(encoding.python_vector())
             self._distinct_values.append(list(encoding.dictionary))
 
     # -- single-column views -------------------------------------------------
 
     def vector(self, column_index: int) -> Sequence[int]:
-        """Dense value vector of one column (for refinement probes), in
-        the kernel backend's native encoding (list or int64 array)."""
+        """Dense value vector of one column (for refinement probes): a
+        list, or a memoryview over an mmap column's codes."""
         return self._vectors[column_index]
 
     def distinct_values(self, column_index: int) -> list[Any]:
@@ -268,7 +263,6 @@ class RelationIndex:
         delta = AppendDelta(old_n_rows, new_n_rows)
         if batch_length <= 0:
             return delta
-        kernel_backend = _backend.ACTIVE
         if self._deltas is None:
             self._deltas = [None] * self.n_columns
         # Pending merges from the previous batch lapse: their snapshots
@@ -308,11 +302,9 @@ class RelationIndex:
             if isinstance(vector, list):
                 vector.extend(batch_codes)
             else:
-                # Backend-native views over the (grown) code buffer: a
-                # fresh zero-copy view replaces the stale one.
-                self._vectors[column_index] = kernel_backend.vector_from_codes(
-                    encoding
-                )
+                # A view over an mmap column's codes: a fresh view over
+                # the grown spill file replaces the stale one.
+                self._vectors[column_index] = encoding.python_vector()
 
         # Composite entries: keep (re-wrapped for the new row count) every
         # mask the batch provably cannot have perturbed — a new agreeing
@@ -402,3 +394,26 @@ class RelationIndex:
             f"RelationIndex({self.relation.name!r}, {self.n_columns} columns x "
             f"{self.n_rows} rows, {len(self.cache)} cached PLIs)"
         )
+
+
+def _column_clusters(column: EncodedColumn) -> tuple[tuple[int, ...], ...]:
+    """Single-column PLI clusters from an encoded column's code array.
+
+    Grouping is a counting pass over dense ints — a list subscript
+    per row instead of a per-value hash and equality.  Because codes
+    are first-seen ordered, bucket order is first-occurrence order:
+    clusters come out canonical (ascending min row, ascending rows
+    within) with no sort.
+    """
+    buckets: list[list[int] | None] = [None] * column.n_codes
+    for row, code in enumerate(column.codes):
+        group = buckets[code]
+        if group is None:
+            buckets[code] = [row]
+        else:
+            group.append(row)
+    return tuple(
+        tuple(group)
+        for group in buckets
+        if group is not None and len(group) >= 2
+    )

@@ -25,18 +25,9 @@ the dominant access pattern of the level-wise and random-walk algorithms,
 all of which intersect the same single-column PLIs over and over.
 
 The probe vector is a flat ``list`` rather than an ``array('i')``: CPython
-boxes a fresh ``int`` on every ``array`` subscript, which costs the hot
-intersection loop ~15% (measured in ``benchmarks/bench_pli_kernel.py``);
-a list subscript just returns the stored object.  The density (one slot
-per row) is what matters, not the 4-byte element width.
-
-The *implementation* of ``intersect``/``refines`` is selectable: the
-process-global kernel backend (:mod:`repro.pli.backend`, chosen via
-``$REPRO_PLI_BACKEND`` / ``--pli-backend``) is either the pure-python
-loops described above or a NumPy-vectorized path over memoized ``int64``
-row/size/probe arrays.  Both produce the same canonical stripped-cluster
-form — the representation above stays the single source of truth for
-equality, hashing, and serialization regardless of backend.
+boxes a fresh ``int`` on every ``array`` subscript, which slows the hot
+intersection loop; a list subscript just returns the stored object.  The
+density (one slot per row) is what matters, not the 4-byte element width.
 
 NULL semantics: ``None`` is treated as a regular value equal to itself, the
 Metanome default for FD/UCC discovery.
@@ -49,7 +40,6 @@ from typing import Any
 
 from .. import guard as _guard
 from .. import trace as _trace
-from . import backend as _backend
 
 __all__ = [
     "PLI",
@@ -99,12 +89,8 @@ class KernelStats:
         self.delta_merges = 0
         self.delta_reclustered_rows = 0
 
-    def snapshot(self) -> dict[str, int | str]:
-        """Current counter values as a plain dict.
-
-        ``pli_backend`` names the backend armed at snapshot time — the
-        one non-numeric entry, carried so per-run kernel reports say
-        which implementation produced the counts."""
+    def snapshot(self) -> dict[str, int]:
+        """Current counter values as a plain dict."""
         return {
             "pli_intersections": self.intersections,
             "probe_builds": self.probe_builds,
@@ -113,26 +99,19 @@ class KernelStats:
             "refine_cluster_scans": self.refine_cluster_scans,
             "delta_merges": self.delta_merges,
             "delta_reclustered_rows": self.delta_reclustered_rows,
-            "pli_backend": _backend.ACTIVE.name,
         }
 
-    def delta(self, before: Mapping[str, int | str]) -> dict[str, int | str]:
+    def delta(self, before: Mapping[str, int]) -> dict[str, int]:
         """Counter increments since an earlier :meth:`snapshot`.
 
         The counters themselves are process-lifetime monotone — nothing
         resets them between executions — so every per-run attribution
         must be snapshot/delta bracketing, never a raw read.  This is
         the one supported way to do that bracketing (the harness wraps
-        each profiler call with it).  Non-numeric entries (the backend
-        name) carry the *after* value through unchanged."""
-        after = self.snapshot()
+        each profiler call with it)."""
         return {
-            name: (
-                value - before.get(name, 0)
-                if isinstance(value, int)
-                else value
-            )
-            for name, value in after.items()
+            name: value - before.get(name, 0)
+            for name, value in self.snapshot().items()
         }
 
     def __repr__(self) -> str:
@@ -176,7 +155,7 @@ class PLI:
     distinct rows is stripped like any singleton).
     """
 
-    __slots__ = ("clusters", "n_rows", "_probe", "_np")
+    __slots__ = ("clusters", "n_rows", "_probe")
 
     def __init__(self, clusters: Sequence[Sequence[int]], n_rows: int):
         normalized = []
@@ -203,7 +182,6 @@ class PLI:
         self.clusters: tuple[tuple[int, ...], ...] = tuple(normalized)
         self.n_rows = n_rows
         self._probe: list[int] | None = None
-        self._np: Any = None
 
     @classmethod
     def _from_canonical(
@@ -221,7 +199,6 @@ class PLI:
         pli.clusters = clusters
         pli.n_rows = n_rows
         pli._probe = None
-        pli._np = None
         return pli
 
     # -- derived measures --------------------------------------------------
@@ -289,11 +266,7 @@ class PLI:
         One pass over the smaller side's clustered rows: rows are grouped
         by their cluster id in ``other``, i.e. by the pair
         ``(cluster_a, cluster_b)``; groups of size ≥ 2 survive.  The
-        grouping itself runs on the active kernel backend
-        (:data:`repro.pli.backend.ACTIVE` — per-row bucket loop over the
-        memoized probe vector, or NumPy composite-key radix grouping);
-        either way the result enters the trusted constructor already
-        canonical, so backend choice never changes a PLI's identity.
+        result enters the trusted constructor already canonical.
 
         When an execution guard is active (:mod:`repro.guard`) the call
         charges the budget with the clustered rows it materialized and may
@@ -314,9 +287,7 @@ class PLI:
             else (other, self)
         )
         KERNEL_STATS.intersections += 1
-        result, clustered_rows, np_state = _backend.ACTIVE.intersect(
-            small, large, KERNEL_STATS
-        )
+        result, clustered_rows = _intersect(small, large)
         budget = _guard.ACTIVE
         tracer = _trace.ACTIVE
         if tracer is not None:
@@ -328,9 +299,7 @@ class PLI:
             tracer.count("pli.clustered_rows", clustered_rows)
         if budget is not None:
             budget.charge_intersection(clustered_rows)
-        pli = PLI._from_canonical(result, self.n_rows)
-        pli._np = np_state
-        return pli
+        return PLI._from_canonical(result, self.n_rows)
 
     def refines(self, vector: Sequence[int]) -> bool:
         """Partition-refinement FD check (Lemma 1).
@@ -344,12 +313,11 @@ class PLI:
         relation) are rejected instead of surfacing as an opaque
         ``IndexError`` mid-scan.
 
-        The scan runs on the active kernel backend.  ``refine_cluster_scans``
-        is accounted at cluster granularity, once per call: a False return
-        on the k-th canonical cluster charges k scans on *both* backends
-        (the python loop aborts there; the vectorized path reports the
-        first mismatching group), so the abort position stays observable
-        without a per-row counter increment on this hot path.
+        The scan aborts at the first violating row.
+        ``refine_cluster_scans`` is accounted at cluster granularity, once
+        per call: a False return on the k-th canonical cluster charges k
+        scans, so the abort position stays observable without a per-row
+        counter increment on this hot path.
         """
         if len(vector) != self.n_rows:
             raise ValueError(
@@ -358,9 +326,16 @@ class PLI:
             )
         stats = KERNEL_STATS
         stats.refine_calls += 1
-        holds, scanned = _backend.ACTIVE.refines(self, vector, stats)
+        scanned = 0
+        for cluster in self.clusters:
+            scanned += 1
+            first = vector[cluster[0]]
+            for row in cluster[1:]:
+                if vector[row] != first:
+                    stats.refine_cluster_scans += scanned
+                    return False
         stats.refine_cluster_scans += scanned
-        return holds
+        return True
 
     def to_vector(self, singleton_id: int = -1) -> list[int]:
         """Inverse view: per-row cluster ids, stripped rows get unique ids.
@@ -390,6 +365,47 @@ class PLI:
 
     def __repr__(self) -> str:
         return f"PLI({self.n_clusters} clusters over {self.n_rows} rows)"
+
+
+def _intersect(
+    small: PLI, large: PLI
+) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Group ``small``'s clustered rows by their cluster id in ``large``
+    via the memoized probe vector and a flat bucket table (no hashing on
+    the per-row path).
+
+    Returns ``(canonical clusters, clustered rows)``.
+    """
+    if not small.clusters or not large.clusters:
+        # Trivially empty: nothing to group, so don't build (or count)
+        # a probe vector for it.
+        return (), 0
+    probe = large.probe_vector()
+    # Partner -1 (stripped in ``large``) lands in the one extra slot
+    # at index -1 and is dropped during the sweep of touched slots.
+    buckets: list[list[int] | None] = [None] * (len(large.clusters) + 1)
+    result: list[tuple[int, ...]] = []
+    append = result.append
+    for cluster in small.clusters:
+        touched: list[int] = []
+        mark = touched.append
+        for row in cluster:
+            partner = probe[row]
+            group = buckets[partner]
+            if group is None:
+                buckets[partner] = [row]
+                mark(partner)
+            else:
+                group.append(row)
+        for partner in touched:
+            group = buckets[partner]
+            buckets[partner] = None
+            if partner >= 0 and len(group) >= 2:
+                append(tuple(group))
+    # Rows within a group ascend (cluster order); clusters are
+    # disjoint, so ordering by first element is full canonical order.
+    result.sort()
+    return tuple(result), sum(map(len, result))
 
 
 def pli_from_column(values: Sequence[Any]) -> PLI:

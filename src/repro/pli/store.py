@@ -24,7 +24,6 @@ from typing import Any
 from .. import trace as _trace
 from ..faults import FAULTS, INCREMENTAL_APPEND
 from ..relation.relation import Relation
-from . import backend as _backend
 from .delta import AppendDelta
 from .index import RelationIndex
 
@@ -70,7 +69,6 @@ class PliStore:
             relation=relation.name,
             columns=relation.n_columns,
             rows=relation.n_rows,
-            backend=_backend.ACTIVE.name,
         ):
             index = RelationIndex(relation)
         self._indexes[fingerprint] = (relation, index)

@@ -12,10 +12,7 @@ Codes are assigned in first-seen order, which makes them exactly the
 dense value ids :func:`repro.pli.pli.value_vector` would produce — so an
 encoded column *is* the probe vector of FD refinement checks, and its
 single-column PLI falls out of one grouping pass over integer codes with
-no per-value hashing or boxing at all
-(:meth:`repro.pli.backend.PythonBackend.column_pli_from_codes` /
-the NumPy backend's argsort grouping, which consumes the code buffer
-zero-copy via ``np.frombuffer``).
+no per-value hashing at all (:class:`repro.pli.index.RelationIndex`).
 
 Every column reaches the PLI substrate as codes.  Two **storage modes**
 decide where the codes live.  The mode is a property of each column,
@@ -194,13 +191,8 @@ class EncodedColumn:
         """Estimated resident bytes of this column's encoded form."""
         return len(self.codes) * CODE_BYTES + 64 * len(self.dictionary)
 
-    def code_buffer(self) -> "array | memoryview":
-        """The raw int32 code buffer (zero-copy input for
-        ``np.frombuffer``)."""
-        return self.codes
-
     def python_vector(self) -> Sequence[int]:
-        """Dense value vector in the pure-python kernel's preferred form.
+        """Dense value vector in the PLI kernel's preferred form.
 
         In-memory codes convert to a flat list once (list subscripts do
         not box, the hot-loop property the kernel relies on); mmap-backed
@@ -212,12 +204,23 @@ class EncodedColumn:
         return self.codes.tolist()
 
     def _code_positions(self) -> dict[Any, int]:
-        """Value -> code map of the dictionary, built on first use."""
+        """Value -> code map of the dictionary, built on the first append
+        and kept: appends repeat, and each looks up a whole batch."""
         if self._positions is None:
             self._positions = {
                 value: code for code, value in enumerate(self.dictionary)
             }
         return self._positions
+
+    def _code_of(self, value: Any) -> int | None:
+        """Code of ``value``, or ``None`` when the column lacks it.
+
+        A one-off lookup: it scans the dictionary and keeps nothing.
+        """
+        try:
+            return self.dictionary.index(value)
+        except ValueError:
+            return None
 
     # -- appends -----------------------------------------------------------
 
@@ -238,15 +241,7 @@ class EncodedColumn:
         if self.storage == "mmap":
             self._append_spill(batch)
         else:
-            try:
-                self.codes.extend(batch)
-            except BufferError:
-                # A numpy view (np.frombuffer) pins the old buffer; swap
-                # in a fresh extended array — the old one stays alive for
-                # exactly as long as those views do.
-                fresh = array("i", self.codes)
-                fresh.extend(batch)
-                self.codes = fresh
+            self.codes.extend(batch)
         self._hash = None
         return codes
 
@@ -305,12 +300,12 @@ class EncodedColumn:
 
     def count(self, value: Any) -> int:
         """Rows holding ``value`` (``tuple.count``)."""
-        code = self._code_positions().get(value)
+        code = self._code_of(value)
         return 0 if code is None else operator.countOf(self.codes, code)
 
     def index(self, value: Any) -> int:
         """First row holding ``value`` (``tuple.index``)."""
-        code = self._code_positions().get(value)
+        code = self._code_of(value)
         if code is not None:
             return operator.indexOf(self.codes, code)
         raise ValueError(f"{value!r} is not in the column")

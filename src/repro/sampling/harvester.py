@@ -9,8 +9,9 @@ so uniform sampling wastes most of its budget on them.  Focused sampling
 therefore walks the single-column clusters largest-first, round-robin
 across columns, drawing a bounded number of rows per cluster (two rows of
 the same cluster are the minimum that can witness anything), and only
-tops the sample up with uniform leftovers — those still matter for
-empty-lhs (constant-column) checks and IND value probes.
+tops the sample up with uniform leftovers — only empty-lhs
+(constant-column) checks read those, since any two rows can refute a
+constant.  SPIDER's IND value probes read value lists, not sampled rows.
 
 Everything is seeded and size-capped, so a harvest is a pure function of
 the relation: reruns, parallel workers, and differential tests all see
@@ -108,7 +109,7 @@ def focused_sample(
                 add(row)
         rank += 1
 
-    # Top up with uniform leftovers for empty-lhs and IND probes.
+    # Top up with uniform leftovers for empty-lhs checks.
     if len(chosen) < cap:
         rest = [row for row in range(n_rows) if row not in chosen]
         for row in rng.sample(rest, cap - len(chosen)):

@@ -35,7 +35,6 @@ read with their column codes in memory (the ``encoded`` storage mode).
 from __future__ import annotations
 
 import hashlib
-import operator
 from dataclasses import dataclass, field
 from pathlib import Path, PurePosixPath
 from typing import TYPE_CHECKING, Any, Mapping
@@ -145,15 +144,9 @@ def _column_facts(relation: Relation) -> dict[str, ColumnFacts]:
         values = {
             canonical_value(value) for value in dictionary if value is not None
         }
-        # Count the one NULL code directly: ``encoding.count`` would build
-        # and keep a value -> code map of the whole dictionary.
-        nulls = (
-            operator.countOf(encoding.codes, dictionary.index(None))
-            if None in dictionary
-            else 0
-        )
         facts[name] = ColumnFacts(
-            distinct=len(values), non_null=relation.n_rows - nulls
+            distinct=len(values),
+            non_null=relation.n_rows - encoding.count(None),
         )
     return facts
 

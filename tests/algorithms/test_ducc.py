@@ -5,12 +5,13 @@ import random
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.algorithms import ducc, ducc_on_relation, naive_uccs
+from repro.algorithms import ducc, ducc_on_relation
 from repro.pli import RelationIndex
 from repro.relation import Relation
 from repro.relation.columnset import is_proper_subset
 
 from ..conftest import relations
+from ..oracles import naive_uccs
 
 
 class TestBasics:

@@ -2,12 +2,13 @@
 
 from hypothesis import given
 
-from repro.algorithms import fun, fun_on_relation, naive_fds, naive_uccs
+from repro.algorithms import fun, fun_on_relation
 from repro.pli import RelationIndex
 from repro.relation import Relation
 from repro.relation.columnset import is_proper_subset, size
 
 from ..conftest import relations
+from ..oracles import naive_fds, naive_uccs
 
 
 class TestBasics:

@@ -1,7 +1,8 @@
 """Tests for the brute-force oracles themselves (hand-checked cases)."""
 
-from repro.algorithms import holds_fd, is_unique, naive_fds, naive_inds, naive_uccs
 from repro.relation import Relation
+
+from ..oracles import holds_fd, is_unique, naive_fds, naive_inds, naive_uccs
 
 
 class TestNaiveInds:

@@ -2,13 +2,14 @@
 
 from hypothesis import given
 
-from repro.algorithms import naive_inds, spider, spider_on_relation
+from repro.algorithms import spider, spider_on_relation
 from repro.algorithms.spider import spider_across
 from repro.algorithms.values import canonical_value
 from repro.pli import RelationIndex
 from repro.relation import Relation
 
 from ..conftest import relations
+from ..oracles import naive_inds
 
 
 class TestPaperExample:

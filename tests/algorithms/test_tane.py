@@ -2,11 +2,12 @@
 
 from hypothesis import given
 
-from repro.algorithms import naive_fds, naive_uccs, tane, tane_on_relation
+from repro.algorithms import tane, tane_on_relation
 from repro.pli import RelationIndex
 from repro.relation import Relation
 
 from ..conftest import relations
+from ..oracles import naive_fds, naive_uccs
 
 
 class TestBasics:

@@ -2,7 +2,6 @@
 
 from hypothesis import given
 
-from repro.algorithms import naive_fds, naive_uccs
 from repro.core.fds_first import (
     FdsFirstProfiler,
     candidate_keys_from_fds,
@@ -12,6 +11,7 @@ from repro.core.holistic_fun import HolisticFun
 from repro.relation import Relation
 
 from ..conftest import relations
+from ..oracles import naive_fds, naive_uccs
 
 
 class TestClosure:

@@ -2,10 +2,10 @@
 
 from hypothesis import given
 
-from repro.algorithms import naive_fds, naive_inds, naive_uccs
 from repro.core.holistic_fun import HolisticFun
 
 from ..conftest import fds_as_pairs, inds_as_pairs, relations, uccs_as_masks
+from ..oracles import naive_fds, naive_inds, naive_uccs
 
 
 class TestHolisticFun:

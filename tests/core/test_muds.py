@@ -3,11 +3,11 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms import naive_fds, naive_inds, naive_uccs
 from repro.core.muds import Muds
 from repro.relation import Relation
 
 from ..conftest import fds_as_pairs, inds_as_pairs, relations, uccs_as_masks
+from ..oracles import naive_fds, naive_inds, naive_uccs
 
 
 class TestExactMode:

@@ -66,7 +66,7 @@ class TestPaperExample:
             ("a3", "b3", "c1", "d1", "e3"),
         ]
         rel = Relation.from_rows(["A", "B", "C", "D", "E"], rows)
-        from repro.algorithms import naive_fds, naive_uccs
+        from ..oracles import naive_fds, naive_uccs
         from repro.core.muds import Muds
 
         truth = set(naive_fds(rel))
@@ -81,7 +81,7 @@ class TestPaperExample:
 class TestGenerateAndMinimize:
     def make(self, rel):
         index = RelationIndex(rel)
-        from repro.algorithms import naive_uccs
+        from ..oracles import naive_uccs
 
         uccs = naive_uccs(rel)
         return CheckCache(index), PrefixTree(uccs)
@@ -97,13 +97,13 @@ class TestGenerateAndMinimize:
             [(1, 1, 1), (1, 2, 1), (2, 1, 1), (2, 2, 2)],
         )
         cache, tree = self.make(rel)
-        from repro.algorithms import naive_fds
+        from ..oracles import naive_fds
 
         seed_fds = {lhs: 0 for lhs, __ in naive_fds(rel)}
         for lhs, rhs in naive_fds(rel):
             seed_fds[lhs] |= 1 << rhs
         tasks = generate_shadowed_tasks(cache, tree, seed_fds)
-        from repro.algorithms.naive import holds_fd
+        from ..oracles import holds_fd
 
         for lhs, rhs_mask in tasks:
             for rhs in iter_bits(rhs_mask):

@@ -5,13 +5,13 @@ import random
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.algorithms import naive_fds, naive_uccs
 from repro.core.sublattice import discover_r_minus_z
 from repro.pli import RelationIndex
 from repro.relation import Relation
 from repro.relation.columnset import iter_bits
 
 from ..conftest import relations
+from ..oracles import naive_fds, naive_uccs
 
 
 def run_phase(rel, seed=0, use_ucc_pruning=True):

@@ -21,7 +21,7 @@ from repro.harness import (
     sweep_table,
 )
 from repro.harness.parallel import PointTask, run_sweep_points
-from repro.metadata.serialize import result_signature
+from repro.metadata.serialize import canonical_metadata_dumps
 from repro.relation import Relation
 
 ALGORITHMS = ("baseline", "hfun")
@@ -110,9 +110,9 @@ class TestDeterminism:
                 serial_point.executions, parallel_point.executions
             ):
                 assert serial_execution.algorithm == parallel_execution.algorithm
-                assert result_signature(
+                assert canonical_metadata_dumps(
                     serial_execution.result
-                ) == result_signature(parallel_execution.result)
+                ) == canonical_metadata_dumps(parallel_execution.result)
 
         # Journal contents are identical modulo timing fields, once both
         # are keyed by label (the parallel journal may be appended in

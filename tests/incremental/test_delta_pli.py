@@ -1,6 +1,6 @@
 """Delta-PLI maintenance: merging an append batch into an existing
-substrate must equal rebuilding that substrate from row 0 — on every
-kernel backend, under every column-storage mode.
+substrate must equal rebuilding that substrate from row 0, under every
+column-storage mode.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ import random
 import pytest
 
 from repro.faults import FAULTS, INCREMENTAL_APPEND, FaultInjected
-from repro.pli import KERNEL_STATS, PliStore, available_backends, use_backend
+from repro.pli import KERNEL_STATS, PliStore
 from repro.pli.delta import ColumnDelta, merge_column
 from repro.relation import Relation
 from repro.relation.columnset import full_mask
@@ -46,44 +46,38 @@ def _assert_equal_substrates(maintained, fresh, n_columns: int):
 
 
 @pytest.mark.parametrize("storage_mode", STORAGE_MODES)
-@pytest.mark.parametrize("backend_name", available_backends())
-def test_merged_substrate_equals_rebuilt(
-    backend_name, storage_mode, tmp_path, monkeypatch
-):
+def test_merged_substrate_equals_rebuilt(storage_mode, tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_SPILL_DIR", str(tmp_path))
     rng = random.Random(SEED)
-    with use_backend(backend_name):
-        for case in range(25):
-            whole = random_relation(rng, f"delta-{case}", max_rows=14)
-            if whole.n_rows < 2:
-                continue
-            base_rows, batch_rows = _split(whole)
-            if not batch_rows:
-                continue
-            names = list(whole.column_names)
-            grown = encoded_in(
-                Relation.from_rows(names, base_rows, name=whole.name), storage_mode
-            )
-            store = PliStore()
-            index, delta = store.append_rows(grown, batch_rows)
-            assert delta is not None
-            assert grown.fingerprint() == whole.fingerprint()
-            rebuilt = Relation.from_rows(names, base_rows + batch_rows)
-            fresh = PliStore().index_for(encoded_in(rebuilt, storage_mode))
-            _assert_equal_substrates(index, fresh, whole.n_columns)
-
-
-@pytest.mark.parametrize("backend_name", available_backends())
-def test_double_append_accumulates(backend_name):
-    with use_backend(backend_name):
-        names = ["A", "B", "C"]
-        rows = [(i, i % 2, i % 3) for i in range(9)]
-        grown = Relation.from_rows(names, rows[:3], name="double")
+    for case in range(25):
+        whole = random_relation(rng, f"delta-{case}", max_rows=14)
+        if whole.n_rows < 2:
+            continue
+        base_rows, batch_rows = _split(whole)
+        if not batch_rows:
+            continue
+        names = list(whole.column_names)
+        grown = encoded_in(
+            Relation.from_rows(names, base_rows, name=whole.name), storage_mode
+        )
         store = PliStore()
-        store.append_rows(grown, rows[3:6])
-        index, _ = store.append_rows(grown, rows[6:])
-        fresh = PliStore().index_for(Relation.from_rows(names, rows))
-        _assert_equal_substrates(index, fresh, 3)
+        index, delta = store.append_rows(grown, batch_rows)
+        assert delta is not None
+        assert grown.fingerprint() == whole.fingerprint()
+        rebuilt = Relation.from_rows(names, base_rows + batch_rows)
+        fresh = PliStore().index_for(encoded_in(rebuilt, storage_mode))
+        _assert_equal_substrates(index, fresh, whole.n_columns)
+
+
+def test_double_append_accumulates():
+    names = ["A", "B", "C"]
+    rows = [(i, i % 2, i % 3) for i in range(9)]
+    grown = Relation.from_rows(names, rows[:3], name="double")
+    store = PliStore()
+    store.append_rows(grown, rows[3:6])
+    index, _ = store.append_rows(grown, rows[6:])
+    fresh = PliStore().index_for(Relation.from_rows(names, rows))
+    _assert_equal_substrates(index, fresh, 3)
 
 
 class TestCompositeInvalidation:

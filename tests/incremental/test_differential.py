@@ -5,7 +5,7 @@ Seeded random relations are split into a base and an append batch; the
 maintained result is compared (``same_metadata``) against a fresh
 profile of the whole relation, which samples like every profile, and
 against the brute-force oracle, which is exact — across every algorithm
-the profiler dispatches to, every kernel backend and every storage mode.
+the profiler dispatches to, and every storage mode.
 """
 
 from __future__ import annotations
@@ -14,9 +14,7 @@ import random
 
 import pytest
 
-from repro.algorithms.naive import naive_fds, naive_inds, naive_uccs
 from repro.incremental import IncrementalProfiler
-from repro.pli import available_backends, use_backend
 from repro.relation import Relation
 from repro.relation.encoded import STORAGE_MODES
 
@@ -27,6 +25,7 @@ from ..conftest import (
     random_relation,
     uccs_as_masks,
 )
+from ..oracles import naive_fds, naive_inds, naive_uccs
 
 SEED = 20160315
 ALGORITHMS = ("muds", "holistic_fun", "baseline")
@@ -82,14 +81,12 @@ def test_maintained_equals_from_scratch(algorithm, exact):
 
 
 @pytest.mark.parametrize("storage_mode", STORAGE_MODES)
-@pytest.mark.parametrize("backend_name", available_backends())
-def test_backend_storage_matrix(backend_name, storage_mode, tmp_path, monkeypatch):
+def test_storage_matrix(storage_mode, tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_SPILL_DIR", str(tmp_path))
-    with use_backend(backend_name):
-        for names, base_rows, batch_rows in _split_cases(SEED + 7, 6):
-            _check_maintained(
-                names, base_rows, batch_rows, "muds", storage=storage_mode
-            )
+    for names, base_rows, batch_rows in _split_cases(SEED + 7, 6):
+        _check_maintained(
+            names, base_rows, batch_rows, "muds", storage=storage_mode
+        )
 
 
 def test_multiple_batches_compose():

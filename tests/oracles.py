@@ -3,7 +3,7 @@
 These implementations follow the *definitions* of INDs, UCCs, and FDs
 directly, with no pruning beyond trivially implied minimality filtering.
 They are exponential and meant exclusively as ground truth for the test
-suite: every optimized algorithm in this package is cross-validated against
+suite: every optimized algorithm in :mod:`repro` is cross-validated against
 them on small inputs (including hypothesis-generated random relations).
 :func:`legacy_intersect` is the same kind of reference one layer down: the
 seed PLI kernel that the array-backed ``PLI.intersect`` is diffed against.
@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from ..pli.pli import PLI
-from ..relation.columnset import bits, is_proper_subset, mask_of
-from ..relation.relation import Relation
-from .values import canonical_value
+from repro.algorithms.values import canonical_value
+from repro.pli.pli import PLI
+from repro.relation.columnset import bits, is_proper_subset, mask_of
+from repro.relation.relation import Relation
 
 __all__ = [
     "naive_inds", "naive_uccs", "naive_fds", "is_unique", "holds_fd",
@@ -114,8 +114,7 @@ def legacy_intersect(left: PLI, right: PLI) -> PLI:
     Rebuilds a probe dictionary over the larger side on every call and
     routes the result through the normalizing public constructor — exactly
     the behaviour the array-backed kernel replaces.  Used by the
-    differential test suite and ``benchmarks/bench_pli_kernel.py`` to prove
-    the new path produces identical PLIs, faster.
+    differential test suite to prove the new path produces identical PLIs.
     """
     if left.n_rows != right.n_rows:
         raise ValueError(

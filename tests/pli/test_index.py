@@ -2,12 +2,12 @@
 
 from hypothesis import given
 
-from repro.algorithms.naive import holds_fd, is_unique
 from repro.pli import RelationIndex
 from repro.relation import Relation
 from repro.relation.columnset import full_mask
 
 from ..conftest import relations
+from ..oracles import holds_fd, is_unique
 
 
 class TestIndexBasics:

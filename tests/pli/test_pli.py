@@ -4,17 +4,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.algorithms.naive import legacy_intersect
 from repro.pli import (
     KERNEL_STATS,
     PLI,
-    available_backends,
     pli_from_column,
     pli_from_vector,
-    use_backend,
     value_vector,
 )
-from repro.pli import backend as _backend
+
+from ..oracles import legacy_intersect
 
 columns = st.lists(st.one_of(st.none(), st.integers(0, 5)), max_size=30)
 two_columns = st.lists(
@@ -135,15 +133,12 @@ class TestIntersect:
         pli = pli_from_column(values)
         assert pli.intersect(pli) == pli
 
-    @pytest.mark.parametrize("backend_name", available_backends())
-    def test_fully_stripped_partner_yields_empty_pli(self, backend_name):
+    def test_fully_stripped_partner_yields_empty_pli(self):
         # Every clustered row of ``a`` is a stripped singleton in ``b``
-        # (partner == -1 for all of them), so nothing survives — on
-        # either kernel backend.
+        # (partner == -1 for all of them), so nothing survives.
         a = pli_from_column([1, 1, 2, 2, 3, 4])  # clusters (0,1), (2,3)
         b = pli_from_column([0, 1, 2, 3, 9, 9])  # cluster (4,5) only
-        with use_backend(backend_name):
-            joint = a.intersect(b)
+        joint = a.intersect(b)
         assert joint.clusters == ()
         assert joint.is_unique
         assert joint.n_rows == 6
@@ -293,7 +288,6 @@ def test_kernel_stats_delta_brackets_a_run():
         "refine_cluster_scans": 0,
         "delta_merges": 0,
         "delta_reclustered_rows": 0,
-        "pli_backend": _backend.ACTIVE.name,
     }
     # Missing keys in the snapshot count from zero (forward-compatible
     # bracketing across counter additions).
@@ -336,13 +330,7 @@ class TestRefinesEarlyAbort:
 
     def test_first_violation_stops_vector_reads(self):
         """Row-granular proof: an immediate violation reads exactly the
-        two probe-vector entries that witness it.
-
-        Row-level early abort is a property of the *python* kernel
-        specifically (the numpy kernel reduces whole clusters at once,
-        aborting only at cluster granularity), so this test pins that
-        backend explicitly.
-        """
+        two probe-vector entries that witness it."""
 
         class CountingVector(list):
             reads = 0
@@ -354,6 +342,5 @@ class TestRefinesEarlyAbort:
         pli = pli_from_column(["a"] * 50 + ["b"] * 50)
         vector = CountingVector([0, 1] + [2] * 48 + [3] * 50)
         CountingVector.reads = 0
-        with use_backend("python"):
-            assert not pli.refines(vector)
+        assert not pli.refines(vector)
         assert CountingVector.reads == 2

@@ -73,7 +73,7 @@ class TestEncodeRoundTrip:
     @pytest.mark.parametrize("mode", ENCODING_MODES)
     def test_code_buffer_is_int32_little_endian_agnostic(self, mode, spill_dir):
         column = encode_column(self.VALUES, storage=mode)
-        buffer = column.code_buffer()
+        buffer = column.codes
         assert len(bytes(buffer)) == len(self.VALUES) * CODE_BYTES
         assert bytes(buffer) == array("i", [0, 1, 2, 0, 3, 1, 2, 0]).tobytes()
 
@@ -81,8 +81,33 @@ class TestEncodeRoundTrip:
         in_memory = encode_column(self.VALUES, storage="encoded")
         spilled = encode_column(self.VALUES, storage="mmap")
         assert in_memory.dictionary == spilled.dictionary
-        assert bytes(in_memory.code_buffer()) == bytes(spilled.code_buffer())
+        assert bytes(in_memory.codes) == bytes(spilled.codes)
         assert in_memory == spilled
+
+    @pytest.mark.parametrize("mode", ENCODING_MODES)
+    def test_lookups_keep_no_value_map(self, mode, spill_dir):
+        """A one-off ``count``/``index`` scans the dictionary and keeps
+        nothing: a value -> code map of a 20,000-distinct column would
+        stay resident for the column's lifetime (over a MiB)."""
+        values = [f"v{row}" for row in range(20_000)] + [None, "v1", None]
+        column = encode_column(values, storage=mode)
+        tracemalloc.start()
+        try:
+            found = (column.count(None), column.index("v1"), column.count("-"))
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        decoded = tuple(column)
+        assert found == (decoded.count(None), decoded.index("v1"), 0)
+        assert retained < 16 * 1024
+        # An append builds the map; later lookups read it and agree.
+        column.append_values(["new", None])
+        decoded = tuple(column)
+        assert column.count(None) == decoded.count(None) == 3
+        assert column.index("new") == decoded.index("new") == len(values)
+        with pytest.raises(ValueError):
+            column.index("-")
 
     def test_empty_column_degrades_to_in_memory(self, spill_dir):
         column = encode_column((), storage="mmap")

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro import trace
-from repro.algorithms.naive import naive_fds, naive_inds, naive_uccs
 from repro.core.holistic_fun import HolisticFun
 from repro.core.muds import Muds
 from repro.datasets.generators import uniprot_like
@@ -16,6 +15,7 @@ from repro.relation.relation import Relation
 from repro.sampling import ValidationPlanner
 
 from ..conftest import fds_as_pairs, inds_as_pairs, uccs_as_masks
+from ..oracles import naive_fds, naive_inds, naive_uccs
 
 
 def _relation() -> Relation:

@@ -6,12 +6,12 @@ import random
 
 import pytest
 
-from repro.algorithms.naive import naive_fds, naive_uccs
 from repro.pli.index import RelationIndex
 from repro.relation.columnset import full_mask
 from repro.sampling import RefutationIndex, focused_sample
 
 from ..conftest import random_relation
+from ..oracles import naive_fds, naive_uccs
 
 
 def _vectors(relation):

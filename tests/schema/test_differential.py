@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.algorithms.naive import naive_fds, naive_inds, naive_uccs
 from repro.metadata.serialize import canonical_catalog_dumps
 from repro.relation.csv_io import read_csv
 from repro.schema import profile_schema
 
 from ..conftest import fds_as_pairs, inds_as_pairs, uccs_as_masks
+from ..oracles import naive_fds, naive_inds, naive_uccs
 from .conftest import naive_cross_inds, seeded_schema, write_schema
 
 SEEDS = range(50)

@@ -21,10 +21,7 @@ BUDGET = [
     (("--max-cluster-bytes",), "max_cluster_bytes", None, None, None, None, False, "_StoreAction", "int", "BYTES"),
 ]
 JOBS = (("--jobs",), "jobs", 1, None, None, None, False, "_StoreAction", "int", "N")
-SUBSTRATE = [
-    (("--pli-backend",), "pli_backend", None, ("python", "numpy"), None, None, False, "_StoreAction", None, None),
-    (("--storage",), "storage", None, ("encoded", "mmap"), None, None, False, "_StoreAction", None, None),
-]
+STORAGE = (("--storage",), "storage", None, ("encoded", "mmap"), None, None, False, "_StoreAction", None, None)
 CHECKPOINT_DIR = (("--checkpoint-dir",), "checkpoint_dir", None, None, None, None, False, "_StoreAction", None, "DIR")
 RESULT_CACHE = (("--result-cache",), "result_cache", None, None, None, None, False, "_StoreAction", None, "DIR")
 OUTPUT = [
@@ -38,7 +35,7 @@ DIRECTORY = ((), "directory", None, None, None, None, True, "_StoreAction", None
 EXPECTED = {
     "build_parser": [
         HELP, ALGORITHM, SEED, DELIMITER, NO_HEADER, *BUDGET,
-        *SUBSTRATE, CHECKPOINT_DIR, RESULT_CACHE, *OUTPUT,
+        STORAGE, CHECKPOINT_DIR, RESULT_CACHE, *OUTPUT,
         ((), "csv", None, None, "?", None, False, "_StoreAction", None, None),
         (("--dataset",), "dataset", None, None, None, None, False, "_StoreAction", None, None),
         (("--as-published",), "as_published", False, None, 0, True, False, "_StoreTrueAction", None, None),
@@ -56,7 +53,7 @@ EXPECTED = {
     ],
     "build_watch_parser": [
         HELP, DIRECTORY, ALGORITHM, SEED, DELIMITER, NO_HEADER,
-        *SUBSTRATE, *OUTPUT,
+        STORAGE, *OUTPUT,
         (("--interval",), "interval", 2.0, None, None, None, False, "_StoreAction", "float", "SECONDS"),
         (("--once",), "once", False, None, 0, True, False, "_StoreTrueAction", None, None),
         (("--max-batches",), "max_batches", None, None, None, None, False, "_StoreAction", "int", "N"),

@@ -14,7 +14,7 @@ seed is printed in the test id) and checks, for all six algorithms:
   minimal-UCC set empty (no column combination distinguishes two equal
   rows — the reason the pipeline's §3 preprocessing dedups first);
 * the base relation's results agree with the brute-force oracle
-  (:mod:`repro.algorithms.naive`).
+  (:mod:`tests.oracles`).
 
 Every case runs in both storage modes: each relation's columns are
 encoded in memory (the default, plain test ids) or spilled to mmap
@@ -34,7 +34,6 @@ import pytest
 
 from repro.algorithms.ducc import ducc_on_relation
 from repro.algorithms.fun import fun_on_relation
-from repro.algorithms.naive import naive_fds, naive_inds, naive_uccs
 from repro.algorithms.spider import spider_across, spider_on_relation
 from repro.algorithms.tane import tane_on_relation
 from repro.core.holistic_fun import HolisticFun
@@ -50,6 +49,7 @@ from .conftest import (
     random_relation,
     storage_params,
 )
+from .oracles import naive_fds, naive_inds, naive_uccs
 
 SEED = 20160315  # EDBT 2016; fixed so CI failures reproduce locally
 N_BATCHES = 10

@@ -6,8 +6,6 @@ algorithms rely on to executable checks over random relations.
 
 from hypothesis import given
 
-from repro.algorithms import naive_fds, naive_uccs
-from repro.algorithms.naive import holds_fd, is_unique
 from repro.lattice import fd_candidate_count, ind_candidate_count, ucc_candidate_count
 from repro.relation.columnset import (
     all_subsets,
@@ -18,6 +16,7 @@ from repro.relation.columnset import (
 )
 
 from .conftest import relations
+from .oracles import holds_fd, is_unique, naive_fds, naive_uccs
 
 
 class TestLemma1PartitionRefinement:

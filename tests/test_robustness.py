@@ -10,11 +10,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro import BaselineProfiler, HolisticFun, Muds, profile
-from repro.algorithms import naive_fds, naive_uccs
 from repro.pli import RelationIndex
 from repro.relation import Relation, SchemaError
 
 from .conftest import fds_as_pairs, uccs_as_masks
+from .oracles import naive_fds, naive_uccs
 
 
 def degenerate_relations() -> list[Relation]:

@@ -4,7 +4,7 @@ The refutation engine's contract is that it only *refutes* candidates
 (every sample violation is a real violation) and never accepts one, so
 discovered minimal FDs, minimal UCCs, and unary INDs are exactly what a
 computation without sampling finds.  The computation without sampling
-here is the brute-force oracle (:mod:`repro.algorithms.naive`), checked
+here is the brute-force oracle (:mod:`tests.oracles`), checked
 on 200 seeded random relations for every algorithm that consults the
 engine: TANE, FUN, DUCC, SPIDER (standalone entry points), plus the MUDS
 and Holistic FUN profilers end to end.
@@ -25,7 +25,6 @@ import pytest
 
 from repro.algorithms.ducc import ducc_on_relation
 from repro.algorithms.fun import fun_on_relation
-from repro.algorithms.naive import naive_fds, naive_inds, naive_uccs
 from repro.algorithms.spider import spider_on_relation
 from repro.algorithms.tane import tane_on_relation
 from repro.algorithms.values import canonical_value
@@ -42,6 +41,7 @@ from .conftest import (
     random_relation,
     uccs_as_masks,
 )
+from .oracles import naive_fds, naive_inds, naive_uccs
 
 SEED = 20160316
 N_BATCHES = 5
